@@ -17,8 +17,7 @@
 //! 5. **durability-wait** — no blocking durability wait in the server crate:
 //!    a multiplexed IO thread that blocks in `wait_durable`/`wait_finish`
 //!    stalls every connection it sweeps; replies must park on commit tickets
-//!    instead (DESIGN.md §11). Intentional sites (the thread-per-connection
-//!    settle) are baselined per site.
+//!    instead (DESIGN.md §11). No site is baselined today.
 //! 6. **stripe-order** — no nested stripe-lock acquisition (a further
 //!    `lock_one`/`lock_all` while a stripe guard is live) and no raw
 //!    stripe-mutex use outside the stripes module; multi-stripe work must

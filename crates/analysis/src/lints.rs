@@ -24,7 +24,10 @@ const PANIC_SCOPE: &[&str] = &[
     "crates/engine/src/command.rs",
     "crates/engine/src/ds/",
     "crates/core/src/apply.rs",
+    "crates/core/src/commit.rs",
     "crates/core/src/node.rs",
+    "crates/core/src/route.rs",
+    "crates/core/src/serve.rs",
     "crates/core/src/stripes.rs",
     "crates/txlog/src/service.rs",
     "crates/resp/src/decode.rs",
@@ -39,7 +42,10 @@ const PANIC_SCOPE: &[&str] = &[
 /// reject rather than crash.
 const INDEX_SCOPE: &[&str] = &[
     "crates/core/src/apply.rs",
+    "crates/core/src/commit.rs",
     "crates/core/src/node.rs",
+    "crates/core/src/route.rs",
+    "crates/core/src/serve.rs",
     "crates/core/src/stripes.rs",
     "crates/txlog/src/service.rs",
     "crates/resp/src/decode.rs",
@@ -104,16 +110,11 @@ const STRIPE_MODULE: &str = "crates/core/src/stripes.rs";
 /// Methods that block on remote durability / storage while running:
 /// holding any lock guard across these defeats PR-1 group commit and stalls
 /// the engine for a multi-AZ round trip. Always a violation.
-/// `flush_inline_idle` is the §13 idle fast path — a *blocking* flush-token
-/// acquire plus a log append on the submitting connection's thread, so
-/// holding a stripe guard (or `st`) across it would serialize every other
-/// stripe behind one connection's append.
-const BLOCKING_METHODS: &[&str] = &[
-    "wait_durable",
-    "wait_for_entries",
-    "put",
-    "flush_inline_idle",
-];
+/// `try_self_flush` is the submitter-led group-commit flush (§11) — a log
+/// append on the submitting connection's thread, so holding a stripe guard
+/// (or `st`) across it would serialize every other stripe behind one
+/// connection's append.
+const BLOCKING_METHODS: &[&str] = &["wait_durable", "wait_for_entries", "put", "try_self_flush"];
 
 /// Non-blocking ordered-append calls into the txlog. Holding the engine/state
 /// lock across these is the *intentional* ordering contract (log order =
@@ -275,9 +276,9 @@ fn determinism(toks: &[Tok], out: &mut Vec<RawFinding>) {
 /// that thread, which is exactly the head-of-line blocking the commit
 /// pipeline's deferred replies remove (DESIGN.md §11). The sweep must park
 /// replies on the commit ticket and let the completer wake the connection.
-/// The one intentional blocking site — the thread-per-connection settle,
-/// which also serves already-complete tickets on the drain path — is
-/// baselined in analysis.toml; new sites must be justified there one by one.
+/// There is no intentional blocking site: settling uses `try_finish` behind
+/// the parked batch's completeness check. A new site must be justified in
+/// analysis.toml.
 fn durability_wait(toks: &[Tok], out: &mut Vec<RawFinding>) {
     for (i, t) in toks.iter().enumerate() {
         if t.in_test || !t.is_punct('.') {
@@ -1084,18 +1085,18 @@ mod tests {
     }
 
     #[test]
-    fn inline_idle_flush_under_guard_is_reported() {
-        // The §13 idle fast path blocks on the flush token and the log
-        // append; calling it with a stripe guard live is a violation, and
+    fn self_flush_under_guard_is_reported() {
+        // The submitter-led flush appends to the log on the calling
+        // thread; calling it with a stripe guard live is a violation, and
         // calling it after the guards drop is the sanctioned shape.
         let src = "fn f(&self) {\n\
                    let guards = self.stripes.lock_one(idx);\n\
-                   self.flush_inline_idle();\n\
+                   self.try_self_flush();\n\
                    }\n\
                    fn g(&self) {\n\
                    let guards = self.stripes.lock_one(idx);\n\
                    drop(guards);\n\
-                   self.flush_inline_idle();\n\
+                   self.try_self_flush();\n\
                    }\n";
         assert_eq!(
             lints_for("crates/core/src/x.rs", src),

@@ -118,7 +118,13 @@ const CALL_DENYLIST: &[&str] = &[
 /// else falls back to `<crate>[.<file-stem>].<receiver>`.
 const KNOWN_LOCKS: &[(&str, &str, &str)] = &[
     ("crates/core/src/node.rs", "st", "node.st"),
-    ("crates/core/src/node.rs", "flush_token", "node.flush_token"),
+    ("crates/core/src/serve.rs", "st", "node.st"),
+    ("crates/core/src/commit.rs", "st", "node.st"),
+    (
+        "crates/core/src/commit.rs",
+        "flush_token",
+        "node.flush_token",
+    ),
     ("crates/core/src/pipeline.rs", "q", "pipeline.q"),
     ("crates/core/src/pipeline.rs", "cq", "pipeline.cq"),
     ("crates/core/src/pipeline.rs", "inner", "ticket.inner"),
@@ -877,7 +883,7 @@ mod tests {
             "node.st"
         );
         assert_eq!(
-            lock_node("crates/core/src/node.rs", Some("flush_token"), "try_lock"),
+            lock_node("crates/core/src/commit.rs", Some("flush_token"), "try_lock"),
             "node.flush_token"
         );
         assert_eq!(

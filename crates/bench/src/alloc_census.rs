@@ -18,7 +18,7 @@
 use memorydb_core::{ClusterBus, NodeIdGen, Shard, ShardConfig};
 use memorydb_metrics::alloc_counts;
 use memorydb_objectstore::ObjectStore;
-use memorydb_server::{IoMode, Server, ServerOptions};
+use memorydb_server::Server;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -107,15 +107,8 @@ pub fn run(commands: u64) -> Vec<AllocRow> {
     let primary = shard
         .wait_for_primary(3 * lease + Duration::from_secs(5))
         .expect("census shard must elect a primary");
-    let mut server = Server::start_with(
-        Arc::clone(&primary),
-        "127.0.0.1:0",
-        ServerOptions {
-            mode: IoMode::Multiplexed,
-            io_threads: 0,
-        },
-    )
-    .expect("census server must start");
+    let mut server =
+        Server::start(Arc::clone(&primary), "127.0.0.1:0").expect("census server must start");
 
     let mut stream = TcpStream::connect(server.local_addr).expect("census connect");
     stream.set_nodelay(true).expect("census nodelay");

@@ -1,23 +1,18 @@
 //! Low-latency log path: closed-loop offered-load sweep (DESIGN.md §13).
 //!
-//! Sweeps K concurrent single-SET submitters with the adaptive
-//! group-commit idle fast path on and off. Usage:
+//! Sweeps K concurrent single-SET submitters. Usage:
 //!
 //! ```text
 //! log_latency [--smoke] [--batches N] [--value-bytes N] [--conns a,b,..]
 //!             [--json PATH]
 //! ```
 //!
-//! The interesting comparisons: at K=1 the fast path must append exactly
-//! once per command and beat the committer-handoff baseline on mean commit
-//! latency; as K grows, `ops/append` rises and the `flush_window` span
-//! widens — the adaptive window trading latency for amortization exactly
-//! where load exists to amortize over.
+//! The interesting comparisons: at K=1 every command must append exactly
+//! once; as K grows, `ops/append` rises and the `flush_window` span widens
+//! — group commit trading latency for amortization exactly where load
+//! exists to amortize over.
 
-use memorydb_bench::log_latency::{
-    cross, fastpath_append_problems, fastpath_latency_problems, latency_gate_active, run, to_json,
-    LogLatencyParams, LogLatencyRow,
-};
+use memorydb_bench::log_latency::{run, single_append_problems, to_json, LogLatencyParams};
 use memorydb_bench::output::{kops, results_dir, Table};
 
 fn parse_list(s: &str) -> Vec<usize> {
@@ -25,14 +20,6 @@ fn parse_list(s: &str) -> Vec<usize> {
         .filter(|p| !p.is_empty())
         .map(|p| p.parse().expect("expected comma-separated integers"))
         .collect()
-}
-
-fn fastpath_name(r: &LogLatencyRow) -> &'static str {
-    if r.fastpath {
-        "on"
-    } else {
-        "off"
-    }
 }
 
 fn main() {
@@ -60,10 +47,7 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .expect("--value-bytes needs an integer");
             }
-            "--conns" => {
-                let conns = parse_list(it.next().expect("--conns needs a list"));
-                params.cases = cross(&conns, &[true, false]);
-            }
+            "--conns" => params.cases = parse_list(it.next().expect("--conns needs a list")),
             "--json" => json_path = Some(it.next().expect("--json needs a path").clone()),
             other => panic!("unknown argument: {other}"),
         }
@@ -78,7 +62,6 @@ fn main() {
 
     let mut table = Table::new(&[
         "conns",
-        "fastpath",
         "op/s",
         "commands",
         "appends",
@@ -91,7 +74,6 @@ fn main() {
     for r in &rows {
         table.row(vec![
             r.connections.to_string(),
-            fastpath_name(r).to_string(),
             kops(r.ops),
             r.commands.to_string(),
             r.append_calls.to_string(),
@@ -118,16 +100,13 @@ fn main() {
         println!("wrote {path}");
     }
     println!(
-        "\nClaims under test: K=1 fast path appends exactly once per command \
-         and beats the committer handoff on mean latency; ops/append and the \
-         flush_window span grow with K."
+        "\nClaims under test: K=1 appends exactly once per command; \
+         ops/append and the flush_window span grow with K."
     );
 
-    // Smoke gates: exact K=1 append accounting always; the latency
-    // comparison only where the host has cores to make it meaningful.
+    // Smoke gate: exact K=1 append accounting.
     if smoke {
-        let mut problems = fastpath_append_problems(&rows);
-        problems.extend(fastpath_latency_problems(&rows));
+        let problems = single_append_problems(&rows);
         if !problems.is_empty() {
             eprintln!("log-latency smoke FAILED:");
             for p in &problems {
@@ -135,14 +114,6 @@ fn main() {
             }
             std::process::exit(1);
         }
-        let latency_note = if latency_gate_active() {
-            "fast-path latency gate held"
-        } else {
-            "fast-path latency gate skipped (<4 cores)"
-        };
-        println!(
-            "log-latency smoke OK: K=1 fast path appended exactly once per \
-             command, {latency_note}"
-        );
+        println!("log-latency smoke OK: K=1 appended exactly once per command");
     }
 }

@@ -1,7 +1,7 @@
 //! Closed-loop RESP-over-TCP throughput for the Enhanced-IO server.
 //!
-//! Sweeps K connections × pipeline depth P in both IO modes over real
-//! loopback sockets. Usage:
+//! Sweeps K connections × pipeline depth P over real loopback sockets.
+//! Usage:
 //!
 //! ```text
 //! tcp_throughput [--smoke] [--duration S] [--value-bytes N] [--zipfian]
@@ -9,19 +9,17 @@
 //!                [--json PATH]
 //! ```
 //!
-//! The interesting comparisons: multiplexed vs thread-per-conn at 64
-//! connections, P=16 pipelined SET vs P=1 (group commit should hold
-//! `ops/append` near P the whole time), and 16 engine stripes vs 1 at
-//! K>=8 (DESIGN.md §12 lock striping). `--zipfian` replaces the disjoint
-//! per-connection keys with one shared hot-key distribution, showing the
-//! contended end of the striping win.
+//! The interesting comparisons: P=16 pipelined SET vs P=1 (group commit
+//! should hold `ops/append` near P the whole time), and 16 engine stripes
+//! vs 1 at K>=8 (DESIGN.md §12 lock striping). `--zipfian` replaces the
+//! disjoint per-connection keys with one shared hot-key distribution,
+//! showing the contended end of the striping win.
 
 use memorydb_bench::output::{kops, results_dir, Table};
 use memorydb_bench::tcp::{
     attribution_problems, coalescing_problems, cross, run, scaling_gate_active, scaling_problems,
     to_json, TcpParams, TcpRow,
 };
-use memorydb_server::IoMode;
 
 /// Mean µs for one attributed stage, `-` when the case never sampled it.
 fn stage_mean(r: &TcpRow, name: &str) -> String {
@@ -76,7 +74,6 @@ fn main() {
     }
     if conns.is_some() || pipelines.is_some() || stripes.is_some() {
         params.cases = cross(
-            &[IoMode::ThreadPerConnection, IoMode::Multiplexed],
             &conns.unwrap_or_else(|| vec![1, 8, 64]),
             &pipelines.unwrap_or_else(|| vec![1, 16, 64]),
             &stripes.unwrap_or_else(|| vec![1, 16]),
@@ -86,7 +83,6 @@ fn main() {
     let rows = run(&params);
 
     let mut table = Table::new(&[
-        "mode",
         "conns",
         "pipeline",
         "stripes",
@@ -98,7 +94,6 @@ fn main() {
     ]);
     for r in &rows {
         table.row(vec![
-            r.mode.to_string(),
             r.connections.to_string(),
             r.pipeline.to_string(),
             r.stripes.to_string(),
@@ -118,7 +113,6 @@ fn main() {
     // Per-stage latency attribution (§10): mean µs per stage, plus how much
     // of the e2e batch span the engine+durability breakdown accounts for.
     let mut attr = Table::new(&[
-        "mode",
         "conns",
         "pipeline",
         "stripes",
@@ -136,7 +130,6 @@ fn main() {
     ]);
     for r in &rows {
         attr.row(vec![
-            r.mode.to_string(),
             r.connections.to_string(),
             r.pipeline.to_string(),
             r.stripes.to_string(),
@@ -170,9 +163,8 @@ fn main() {
         println!("wrote {path}");
     }
     println!(
-        "\nClaims under test: multiplexed >= thread-per-conn at 64 conns; \
-         pipelined SET scales with P; ops/append tracks the pipeline depth; \
-         16 stripes beat 1 at K>=8 multiplexed."
+        "\nClaims under test: pipelined SET scales with P; ops/append tracks \
+         the pipeline depth; 16 stripes beat 1 at K>=8."
     );
 
     // In smoke mode the attribution doubles as a gate: every declared
@@ -180,8 +172,8 @@ fn main() {
     // measured e2e span, cross-connection coalescing must be observed at
     // K >= 8 (append calls strictly below dispatched batches), and the
     // 16-stripe configuration must beat the 1-stripe baseline by >=1.5x
-    // at K >= 8 multiplexed (skipped on hosts with fewer than 4 cores,
-    // where stripes just time-share one CPU).
+    // at K >= 8 (skipped on hosts with fewer than 4 cores, where stripes
+    // just time-share one CPU).
     if smoke {
         let mut problems: Vec<String> = rows.iter().flat_map(attribution_problems).collect();
         problems.extend(coalescing_problems(&rows));

@@ -13,7 +13,7 @@
 //! | [`fig6`] | Fig 6 — Redis BGSave under memory pressure |
 //! | [`fig7`] | Fig 7 — MemoryDB off-box snapshotting impact |
 //! | [`extras`] | §6.1.2.1 write bandwidth, durability & recovery ablations |
-//! | [`tcp`] | Enhanced-IO: real TCP throughput, multiplexed vs thread-per-conn |
+//! | [`tcp`] | Enhanced-IO: real TCP throughput over the multiplexed server |
 //! | [`log_latency`] | Adaptive group commit: offered-load sweep over the low-latency log path |
 //! | [`restore_mttr`] | Incremental snapshots + parallel restore: MTTR vs dataset size × freshness |
 //! | [`chaos_suite`] | Deterministic chaos harness — failover/crash-recovery invariants |

@@ -1,13 +1,11 @@
-//! Low-latency log path: closed-loop offered-load sweep over the adaptive
-//! group-commit window (DESIGN.md §13).
+//! Low-latency log path: closed-loop offered-load sweep over the
+//! group-commit flush window (DESIGN.md §13).
 //!
 //! Each case runs K client threads against one in-process primary, every
 //! thread submitting single-SET batches back-to-back. K is the offered
-//! load: at K=1 the pipeline is idle at every submission, so the adaptive
-//! window should collapse to the inline fast path (one append per command,
-//! no committer handoff); as K grows the window widens and appends
-//! amortize across connections. Cases run with the idle fast path on and
-//! off so its latency win is measured, not asserted from the design.
+//! load: at K=1 every submitter leads its own flush, so the window must
+//! collapse to one append per command; as K grows the window widens and
+//! appends amortize across connections.
 
 use memorydb_core::{ClusterBus, NodeIdGen, Shard, ShardConfig};
 use memorydb_engine::{cmd, Frame, SessionState};
@@ -15,19 +13,11 @@ use memorydb_objectstore::ObjectStore;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// One point of the sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct LogLatencyCase {
-    /// Concurrent closed-loop submitters (the offered load).
-    pub connections: usize,
-    /// `flush_idle_fastpath` for the case's shard.
-    pub fastpath: bool,
-}
-
 /// Sweep parameters.
 #[derive(Debug, Clone)]
 pub struct LogLatencyParams {
-    pub cases: Vec<LogLatencyCase>,
+    /// Concurrent closed-loop submitters (the offered load), one case each.
+    pub cases: Vec<usize>,
     /// Batches each submitter runs (one SET per batch — the
     /// latency-sensitive shape; throughput shapes live in `tcp`).
     pub batches_per_conn: usize,
@@ -39,43 +29,27 @@ impl LogLatencyParams {
     /// The full sweep the binary runs by default.
     pub fn full() -> LogLatencyParams {
         LogLatencyParams {
-            cases: cross(&[1, 2, 4, 8, 16], &[true, false]),
+            cases: vec![1, 2, 4, 8, 16],
             batches_per_conn: 2000,
             value_bytes: 64,
         }
     }
 
-    /// A small sweep for CI: the K=1 fast-path pair the gates bite on,
-    /// plus one loaded point to show the window widening.
+    /// A small sweep for CI: the K=1 point the append gate bites on, plus
+    /// one loaded point to show the window widening.
     pub fn smoke() -> LogLatencyParams {
         LogLatencyParams {
-            cases: cross(&[1, 4], &[true, false]),
+            cases: vec![1, 4],
             batches_per_conn: 400,
             value_bytes: 16,
         }
     }
 }
 
-/// Cartesian product, fast path outermost so each on/off pair of one K
-/// runs back-to-back.
-pub fn cross(conns: &[usize], fastpaths: &[bool]) -> Vec<LogLatencyCase> {
-    let mut cases = Vec::new();
-    for &connections in conns {
-        for &fastpath in fastpaths {
-            cases.push(LogLatencyCase {
-                connections,
-                fastpath,
-            });
-        }
-    }
-    cases
-}
-
 /// One measured point.
 #[derive(Debug, Clone)]
 pub struct LogLatencyRow {
     pub connections: usize,
-    pub fastpath: bool,
     /// Acknowledged commands over the case.
     pub commands: u64,
     /// Txlog append calls over the measured burst.
@@ -90,7 +64,7 @@ pub struct LogLatencyRow {
     pub e2e_mean_us: f64,
     pub e2e_p50_us: u64,
     pub e2e_p99_us: u64,
-    /// Mean adaptive flush-window span (`flush_window` stage): oldest
+    /// Mean flush-window span (`flush_window` stage): oldest
     /// staged entry to append, the time group commit traded for
     /// amortization. Near zero at K=1, grows with K.
     pub flush_window_mean_us: f64,
@@ -98,27 +72,27 @@ pub struct LogLatencyRow {
 
 /// Runs the sweep. Each case gets a fresh single-node shard.
 pub fn run(params: &LogLatencyParams) -> Vec<LogLatencyRow> {
-    params.cases.iter().map(|c| run_case(c, params)).collect()
+    params.cases.iter().map(|&k| run_case(k, params)).collect()
 }
 
-fn run_case(case: &LogLatencyCase, params: &LogLatencyParams) -> LogLatencyRow {
+fn run_case(connections: usize, params: &LogLatencyParams) -> LogLatencyRow {
     // K=1 rows feed an exact append_calls == commands gate, and a lease
     // renewal landing inside the burst would add one control append. The
     // burst starts right after an observed renewal (see below), so only a
     // burst longer than `renew_interval` can collide; retry a couple of
     // times for the unlucky schedule.
-    let attempts = if case.connections == 1 { 3 } else { 1 };
-    let mut row = run_case_once(case, params);
+    let attempts = if connections == 1 { 3 } else { 1 };
+    let mut row = run_case_once(connections, params);
     for _ in 1..attempts {
         if row.append_calls == row.commands {
             break;
         }
-        row = run_case_once(case, params);
+        row = run_case_once(connections, params);
     }
     row
 }
 
-fn run_case_once(case: &LogLatencyCase, params: &LogLatencyParams) -> LogLatencyRow {
+fn run_case_once(connections: usize, params: &LogLatencyParams) -> LogLatencyRow {
     let lease = Duration::from_millis(600);
     let shard = Shard::bootstrap(
         0,
@@ -126,7 +100,6 @@ fn run_case_once(case: &LogLatencyCase, params: &LogLatencyParams) -> LogLatency
             lease,
             renew_interval: Duration::from_millis(200),
             backoff: Duration::from_millis(660),
-            flush_idle_fastpath: case.fastpath,
             ..ShardConfig::default()
         },
         Arc::new(ObjectStore::new()),
@@ -140,9 +113,9 @@ fn run_case_once(case: &LogLatencyCase, params: &LogLatencyParams) -> LogLatency
         .expect("bench shard must elect a primary");
 
     let value = "x".repeat(params.value_bytes);
-    let barrier = Arc::new(Barrier::new(case.connections + 1));
-    let mut workers = Vec::with_capacity(case.connections);
-    for conn in 0..case.connections {
+    let barrier = Arc::new(Barrier::new(connections + 1));
+    let mut workers = Vec::with_capacity(connections);
+    for conn in 0..connections {
         let primary = Arc::clone(&primary);
         let barrier = Arc::clone(&barrier);
         let value = value.clone();
@@ -176,7 +149,7 @@ fn run_case_once(case: &LogLatencyCase, params: &LogLatencyParams) -> LogLatency
     }
     let elapsed = t0.elapsed();
     let append_calls = log.append_calls() - appends0;
-    let commands = (case.connections * params.batches_per_conn) as u64;
+    let commands = (connections * params.batches_per_conn) as u64;
 
     let snap = primary.metrics().snapshot();
     let stage = |name: &str| snap.stage(name);
@@ -185,8 +158,7 @@ fn run_case_once(case: &LogLatencyCase, params: &LogLatencyParams) -> LogLatency
     let flush_window_mean_us = stage("flush_window").map_or(0.0, |s| s.mean_us());
 
     LogLatencyRow {
-        connections: case.connections,
-        fastpath: case.fastpath,
+        connections,
         commands,
         append_calls,
         ops: commands as f64 / elapsed.as_secs_f64(),
@@ -202,47 +174,16 @@ fn run_case_once(case: &LogLatencyCase, params: &LogLatencyParams) -> LogLatency
     }
 }
 
-/// Gate: at K=1 with the fast path on, the adaptive window must collapse —
-/// every command pays exactly one conditional append (no artificial
-/// batching delay, no lost or double appends). Empty means pass.
-pub fn fastpath_append_problems(rows: &[LogLatencyRow]) -> Vec<String> {
+/// Gate: at K=1 the flush window must collapse — every command pays
+/// exactly one conditional append (no artificial batching delay, no lost
+/// or double appends). Empty means pass.
+pub fn single_append_problems(rows: &[LogLatencyRow]) -> Vec<String> {
     let mut problems = Vec::new();
     for r in rows {
-        if r.connections == 1 && r.fastpath && r.append_calls != r.commands {
+        if r.connections == 1 && r.append_calls != r.commands {
             problems.push(format!(
-                "K=1 fastpath: expected one append per command, got {} appends \
-                 for {} commands",
+                "K=1: expected one append per command, got {} appends for {} commands",
                 r.append_calls, r.commands
-            ));
-        }
-    }
-    problems
-}
-
-/// True when the host has cores to make the latency comparison meaningful.
-/// On 1-2 core machines the inline path and the committer handoff
-/// time-share one CPU and the gate would measure scheduler noise.
-pub fn latency_gate_active() -> bool {
-    std::thread::available_parallelism().is_ok_and(|n| n.get() >= 4)
-}
-
-/// Gate: at K=1 the inline idle fast path must beat the token-bounce
-/// baseline (fast path off) on mean commit latency — the point of
-/// DESIGN.md §13's idle rule is exactly this row. Empty when the gate is
-/// inactive or the sweep has no on/off pair at K=1.
-pub fn fastpath_latency_problems(rows: &[LogLatencyRow]) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !latency_gate_active() {
-        return problems;
-    }
-    let on = rows.iter().find(|r| r.connections == 1 && r.fastpath);
-    let off = rows.iter().find(|r| r.connections == 1 && !r.fastpath);
-    if let (Some(on), Some(off)) = (on, off) {
-        if on.e2e_mean_us >= off.e2e_mean_us {
-            problems.push(format!(
-                "K=1: inline fast path must beat the committer handoff on mean \
-                 commit latency, got {:.1}us (on) vs {:.1}us (off)",
-                on.e2e_mean_us, off.e2e_mean_us
             ));
         }
     }
@@ -262,12 +203,11 @@ pub fn to_json(params: &LogLatencyParams, rows: &[LogLatencyRow]) -> String {
     s.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"connections\": {}, \"fastpath\": {}, \"commands\": {}, \
+            "    {{\"connections\": {}, \"commands\": {}, \
              \"append_calls\": {}, \"ops_per_s\": {:.1}, \"ops_per_append\": {:.2}, \
              \"e2e_mean_us\": {:.1}, \"e2e_p50_us\": {}, \"e2e_p99_us\": {}, \
              \"flush_window_mean_us\": {:.1}}}{}\n",
             r.connections,
-            r.fastpath,
             r.commands,
             r.append_calls,
             r.ops,
@@ -287,11 +227,10 @@ pub fn to_json(params: &LogLatencyParams, rows: &[LogLatencyRow]) -> String {
 mod tests {
     use super::*;
 
-    /// The `--smoke` sweep as a CI test: every case serves traffic, the
-    /// K=1 fast-path row appends exactly once per command, and the
-    /// latency gate holds where the host can support it.
+    /// The `--smoke` sweep as a CI test: every case serves traffic and the
+    /// K=1 row appends exactly once per command.
     #[test]
-    fn smoke_sweep_fastpath_appends_exactly_once() {
+    fn smoke_sweep_k1_appends_exactly_once() {
         let params = LogLatencyParams::smoke();
         let rows = run(&params);
         assert_eq!(rows.len(), params.cases.len());
@@ -300,37 +239,22 @@ mod tests {
             assert!(r.append_calls > 0, "case {r:?} recorded no appends");
             assert!(r.e2e_p50_us <= r.e2e_p99_us, "percentiles out of order");
         }
-        let problems = fastpath_append_problems(&rows);
+        let problems = single_append_problems(&rows);
         assert!(
             problems.is_empty(),
             "K=1 append gate failed:\n{}",
             problems.join("\n")
         );
-        if latency_gate_active() {
-            let problems = fastpath_latency_problems(&rows);
-            assert!(
-                problems.is_empty(),
-                "fast-path latency gate failed:\n{}",
-                problems.join("\n")
-            );
-        } else {
-            eprintln!("fast-path latency gate skipped: fewer than 4 cores available");
-        }
-        // Loaded point: with K=4 closed-loop submitters the adaptive
-        // window must amortize appends across connections at least some
-        // of the time.
-        let loaded = rows
-            .iter()
-            .find(|r| r.connections == 4 && r.fastpath)
-            .unwrap();
+        // Loaded point: with K=4 closed-loop submitters the flush window
+        // must amortize appends across connections at least some of the
+        // time.
+        let loaded = rows.iter().find(|r| r.connections == 4).unwrap();
         assert!(
             loaded.append_calls <= loaded.commands,
             "append calls cannot exceed commands under group commit"
         );
         let json = to_json(&params, &rows);
         assert!(json.contains("\"bench\": \"log_latency\""));
-        assert!(json.contains("\"fastpath\": true"));
-        assert!(json.contains("\"fastpath\": false"));
         assert!(json.contains("\"flush_window_mean_us\""));
         assert_eq!(json.matches("\"connections\"").count(), rows.len());
     }

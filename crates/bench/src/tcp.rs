@@ -4,22 +4,21 @@
 //!
 //! Each case runs K client connections, each keeping a pipeline of P SET
 //! commands outstanding against a real [`memorydb_server::Server`] over
-//! loopback TCP, in either IO mode. Alongside throughput it reports the
-//! txlog append-call count over the measurement window: with group commit,
-//! one quorum ack covers a whole pipeline, so `ops/append` should track P.
+//! loopback TCP. Alongside throughput it reports the txlog append-call
+//! count over the measurement window: with group commit, one quorum ack
+//! covers a whole pipeline, so `ops/append` should track P.
 
 use memorydb_core::{ClusterBus, NodeIdGen, Shard, ShardConfig};
 use memorydb_metrics::{CounterId, MetricsSnapshot};
 use memorydb_objectstore::ObjectStore;
-use memorydb_server::{BlockingClient, IoMode, Server, ServerOptions};
+use memorydb_server::{BlockingClient, Server};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// One (mode, connections, pipeline-depth, stripe-count) point of the sweep.
+/// One (connections, pipeline-depth, stripe-count) point of the sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpCase {
-    pub mode: IoMode,
     pub connections: usize,
     pub pipeline: usize,
     /// Engine stripe count for the case's shard (DESIGN.md §12). 1 is the
@@ -55,12 +54,7 @@ impl TcpParams {
     /// at every point is the before/after of the §12 lock striping.
     pub fn full() -> TcpParams {
         TcpParams {
-            cases: cross(
-                &[IoMode::ThreadPerConnection, IoMode::Multiplexed],
-                &[1, 8, 64],
-                &[1, 16, 64],
-                &[1, 16],
-            ),
+            cases: cross(&[1, 8, 64], &[1, 16, 64], &[1, 16]),
             duration_s: 1.0,
             value_bytes: 64,
             zipfian: false,
@@ -71,17 +65,11 @@ impl TcpParams {
 
     /// A seconds-long sanity sweep for `cargo test` / CI. Includes K=8 so
     /// the cross-connection coalescing gate has a case to bite on, plus a
-    /// 1-stripe twin of the multiplexed K=8 point so the stripe-scaling
-    /// gate has a baseline to compare against.
+    /// 1-stripe twin of the K=8 point so the stripe-scaling gate has a
+    /// baseline to compare against.
     pub fn smoke() -> TcpParams {
-        let mut cases = cross(
-            &[IoMode::ThreadPerConnection, IoMode::Multiplexed],
-            &[1, 8],
-            &[1, 8],
-            &[16],
-        );
+        let mut cases = cross(&[1, 8], &[1, 8], &[16]);
         cases.push(TcpCase {
-            mode: IoMode::Multiplexed,
             connections: 8,
             pipeline: 8,
             stripes: 1,
@@ -97,28 +85,20 @@ impl TcpParams {
     }
 }
 
-/// Cartesian product of connection counts × pipeline depths × stripe counts
-/// × modes. Modes alternate innermost so the two implementations of each
-/// (K, P, stripes) point run back-to-back — fairer when the host throttles
+/// Cartesian product of connection counts × pipeline depths × stripe
+/// counts. Stripe counts alternate innermost so the two configurations of
+/// each (K, P) point run back-to-back — fairer when the host throttles
 /// sustained CPU use.
-pub fn cross(
-    modes: &[IoMode],
-    conns: &[usize],
-    pipelines: &[usize],
-    stripes: &[usize],
-) -> Vec<TcpCase> {
+pub fn cross(conns: &[usize], pipelines: &[usize], stripes: &[usize]) -> Vec<TcpCase> {
     let mut cases = Vec::new();
     for &connections in conns {
         for &pipeline in pipelines {
             for &stripes in stripes {
-                for &mode in modes {
-                    cases.push(TcpCase {
-                        mode,
-                        connections,
-                        pipeline,
-                        stripes,
-                    });
-                }
+                cases.push(TcpCase {
+                    connections,
+                    pipeline,
+                    stripes,
+                });
             }
         }
     }
@@ -141,7 +121,6 @@ pub struct StageLine {
 /// One measured point.
 #[derive(Debug, Clone)]
 pub struct TcpRow {
-    pub mode: &'static str,
     pub connections: usize,
     pub pipeline: usize,
     /// Engine stripe count the case ran with.
@@ -179,65 +158,58 @@ impl TcpRow {
     }
 }
 
-/// Stages every case must sample, given its IO mode. `io_read` is only
-/// recorded by the multiplexed sweep: the thread-per-conn path reads
-/// blocking, so its read time is client think time, not server work.
-pub fn required_stages(mode: &str) -> Vec<&'static str> {
-    let mut required = vec![
-        "io_write",
-        "parse",
-        "engine",
-        "engine_lock_hold",
-        "stripe_lock_hold",
-        "apply",
-        "commit_queue_wait",
-        "flush_window",
-        "durability",
-        "e2e",
-        "log_append",
-        "quorum_ack",
-    ];
-    if mode == "multiplexed" {
-        required.insert(0, "io_read");
-    }
-    required
-}
+/// Stages every case must sample.
+pub const REQUIRED_STAGES: &[&str] = &[
+    "io_read",
+    "io_write",
+    "parse",
+    "engine",
+    "engine_lock_hold",
+    "stripe_lock_hold",
+    "apply",
+    "commit_queue_wait",
+    "flush_window",
+    "durability",
+    "e2e",
+    "log_append",
+    "quorum_ack",
+];
 
 /// Validates a row's stage attribution: every required stage sampled, and
 /// `engine + durability` accounting for the end-to-end span within
 /// tolerance. Returns human-readable problems; empty means the row passes.
 pub fn attribution_problems(row: &TcpRow) -> Vec<String> {
     let mut problems = Vec::new();
-    for name in required_stages(row.mode) {
+    for name in REQUIRED_STAGES {
         if row.stage(name).is_none() {
             problems.push(format!(
-                "{} K={} P={} S={}: stage `{name}` has no samples",
-                row.mode, row.connections, row.pipeline, row.stripes
+                "K={} P={} S={}: stage `{name}` has no samples",
+                row.connections, row.pipeline, row.stripes
             ));
         }
     }
     if !(0.80..=1.02).contains(&row.stage_sum_over_e2e) {
         problems.push(format!(
-            "{} K={} P={} S={}: engine+commit_queue_wait+durability accounts for \
+            "K={} P={} S={}: engine+commit_queue_wait+durability accounts for \
              {:.3} of e2e (want 0.80..=1.02)",
-            row.mode, row.connections, row.pipeline, row.stripes, row.stage_sum_over_e2e
+            row.connections, row.pipeline, row.stripes, row.stage_sum_over_e2e
         ));
     }
     problems
 }
 
-/// Validates that cross-connection group commit actually coalesced: on the
-/// multiplexed path with enough concurrent connections (K ≥ 8) the
-/// committer must have merged staged batches, so the window's append calls
-/// must be strictly fewer than its dispatched batches. Empty means pass.
+/// Validates that cross-connection group commit actually coalesced: with
+/// enough concurrent connections (K ≥ 8) the flush leader must have merged
+/// staged batches, so the window's append calls must be strictly fewer
+/// than its dispatched batches. Empty means pass.
 pub fn coalescing_problems(rows: &[TcpRow]) -> Vec<String> {
     let mut problems = Vec::new();
     for r in rows {
-        if r.mode == "multiplexed" && r.connections >= 8 && r.append_calls >= r.batches {
+        if r.connections >= 8 && r.append_calls >= r.batches {
             problems.push(format!(
-                "{} K={} P={} S={}: no cross-connection coalescing observed \
+                "K={} P={} S={}: no cross-connection coalescing observed \
                  ({} appends for {} batches)",
-                r.mode, r.connections, r.pipeline, r.stripes, r.append_calls, r.batches
+                r.connections, r.pipeline, r.stripes, r.append_calls, r.batches
             ));
         }
     }
@@ -251,7 +223,7 @@ pub fn scaling_gate_active() -> bool {
     std::thread::available_parallelism().is_ok_and(|n| n.get() >= 4)
 }
 
-/// Validates the §12 scaling claim: for every multiplexed K≥8 point that
+/// Validates the §12 scaling claim: for every K≥8 point that
 /// was measured at both 1 stripe and 16 stripes (same K, P, workload), the
 /// striped configuration must deliver ≥1.5× the ops/s of the single-mutex
 /// baseline. Empty when the gate is inactive ([`scaling_gate_active`]) or
@@ -262,21 +234,17 @@ pub fn scaling_problems(rows: &[TcpRow]) -> Vec<String> {
         return problems;
     }
     for base in rows {
-        if base.mode != "multiplexed" || base.connections < 8 || base.stripes != 1 {
+        if base.connections < 8 || base.stripes != 1 {
             continue;
         }
         let striped = rows.iter().find(|r| {
-            r.mode == base.mode
-                && r.connections == base.connections
-                && r.pipeline == base.pipeline
-                && r.stripes == 16
+            r.connections == base.connections && r.pipeline == base.pipeline && r.stripes == 16
         });
         if let Some(s) = striped {
             if s.ops < 1.5 * base.ops {
                 problems.push(format!(
-                    "{} K={} P={}: 16-stripe ops/s must be >=1.5x the 1-stripe \
+                    "K={} P={}: 16-stripe ops/s must be >=1.5x the 1-stripe \
                      baseline, got {:.0} vs {:.0} ({:.2}x)",
-                    base.mode,
                     base.connections,
                     base.pipeline,
                     s.ops,
@@ -287,13 +255,6 @@ pub fn scaling_problems(rows: &[TcpRow]) -> Vec<String> {
         }
     }
     problems
-}
-
-pub fn mode_name(mode: IoMode) -> &'static str {
-    match mode {
-        IoMode::Multiplexed => "multiplexed",
-        IoMode::ThreadPerConnection => "thread-per-conn",
-    }
 }
 
 /// Runs the sweep. Each case gets a fresh single-node shard and server so
@@ -323,15 +284,8 @@ fn run_case(case: &TcpCase, params: &TcpParams) -> TcpRow {
     let primary = shard
         .wait_for_primary(3 * lease + Duration::from_secs(5))
         .expect("bench shard must elect a primary");
-    let mut server = Server::start_with(
-        Arc::clone(&primary),
-        "127.0.0.1:0",
-        ServerOptions {
-            mode: case.mode,
-            io_threads: 0,
-        },
-    )
-    .expect("bench server must start");
+    let mut server =
+        Server::start(Arc::clone(&primary), "127.0.0.1:0").expect("bench server must start");
     let addr = server.local_addr;
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -462,7 +416,6 @@ fn run_case(case: &TcpCase, params: &TcpParams) -> TcpRow {
 
     let (rate, done, append_calls, batches) = best.expect("at least one window");
     TcpRow {
-        mode: mode_name(case.mode),
         connections: case.connections,
         pipeline: case.pipeline,
         stripes: case.stripes,
@@ -508,12 +461,11 @@ pub fn to_json(params: &TcpParams, rows: &[TcpRow]) -> String {
             .collect::<Vec<_>>()
             .join(", ");
         s.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"connections\": {}, \"pipeline\": {}, \
+            "    {{\"connections\": {}, \"pipeline\": {}, \
              \"stripes\": {}, \
              \"ops_per_s\": {:.1}, \"append_calls\": {}, \"batches\": {}, \
              \"ops_per_append\": {:.2}, \"appends_per_command\": {:.4}, \
              \"stage_sum_over_e2e\": {:.3}, \"stages\": {{{}}}}}{}\n",
-            r.mode,
             r.connections,
             r.pipeline,
             r.stripes,
@@ -548,10 +500,7 @@ mod tests {
         }
         // Group commit: at pipeline depth 8 each append must cover several
         // SETs (exact depth depends on how bursts land in the window).
-        let deep = rows
-            .iter()
-            .find(|r| r.mode == "multiplexed" && r.pipeline == 8)
-            .unwrap();
+        let deep = rows.iter().find(|r| r.pipeline == 8).unwrap();
         assert!(
             deep.ops_per_append > 2.0,
             "pipelined batches should group-commit, got {:.2} ops/append",
@@ -565,7 +514,7 @@ mod tests {
             "coalescing gate failed:\n{}",
             problems.join("\n")
         );
-        // Stripe scaling (§12): the multiplexed K=8 point runs at both 1
+        // Stripe scaling (§12): the K=8 P=8 point runs at both 1
         // and 16 stripes; on a machine with cores to use, 16 stripes must
         // beat the single-mutex baseline by >=1.5x.
         if scaling_gate_active() {
@@ -588,13 +537,6 @@ mod tests {
                 problems.join("\n")
             );
         }
-        // The in-process registries never see socket IO for stages the
-        // server did not run: thread-per-conn cases must not claim io_read.
-        let tpc = rows.iter().find(|r| r.mode == "thread-per-conn").unwrap();
-        assert!(
-            tpc.stage("io_read").is_none(),
-            "blocking reads are client think time"
-        );
         // JSON encoding stays parseable in shape.
         let json = to_json(&params, &rows);
         assert!(json.contains("\"bench\": \"tcp_throughput\""));
@@ -606,7 +548,7 @@ mod tests {
         assert!(json.contains("\"stage_sum_over_e2e\""));
         assert!(json.contains("\"e2e\": {\"count\""));
         assert!(json.contains("\"stripe_lock_hold\": {\"count\""));
-        assert_eq!(json.matches("\"mode\"").count(), rows.len());
+        assert_eq!(json.matches("\"connections\"").count(), rows.len());
     }
 
     /// Full-size comparison (ignored by default: ~30s of wall clock).
@@ -614,12 +556,7 @@ mod tests {
     #[ignore = "heavy: full 64-connection sweep"]
     fn full_sweep_multiplexed_holds_64_connections() {
         let params = TcpParams {
-            cases: cross(
-                &[IoMode::ThreadPerConnection, IoMode::Multiplexed],
-                &[64],
-                &[1, 16],
-                &[16],
-            ),
+            cases: cross(&[64], &[1, 16], &[16]),
             duration_s: 1.0,
             value_bytes: 64,
             zipfian: false,
@@ -630,14 +567,8 @@ mod tests {
         for r in &rows {
             assert!(r.ops > 0.0, "case {r:?} made no progress");
         }
-        let mux16 = rows
-            .iter()
-            .find(|r| r.mode == "multiplexed" && r.pipeline == 16)
-            .unwrap();
-        let mux1 = rows
-            .iter()
-            .find(|r| r.mode == "multiplexed" && r.pipeline == 1)
-            .unwrap();
+        let mux16 = rows.iter().find(|r| r.pipeline == 16).unwrap();
+        let mux1 = rows.iter().find(|r| r.pipeline == 1).unwrap();
         assert!(
             mux16.ops > 3.0 * mux1.ops,
             "P=16 pipelining should beat unpipelined by >=3x ({:.0} vs {:.0})",

@@ -30,13 +30,6 @@ pub struct ShardConfig {
     /// Commit-pipeline backpressure: max staged-but-unresolved payload
     /// bytes in flight before new batches block at submission.
     pub commit_window_bytes: usize,
-    /// Adaptive group commit: when the commit queue is empty at submission
-    /// time, the submitting connection appends its own batch inline (no
-    /// committer wakeup, no flush-token bounce). Under load the flush
-    /// window widens up to `commit_window_*` exactly as before. The
-    /// idle/busy decision reads the in-flight ticket count, never a
-    /// wall-clock sleep.
-    pub flush_idle_fastpath: bool,
     /// Transaction-log service configuration for this shard.
     pub log: LogConfig,
     /// Snapshot scheduling: take a new snapshot once the un-snapshotted log
@@ -75,7 +68,6 @@ impl Default for ShardConfig {
             checksum_probe_every: 64,
             commit_window_entries: 1024,
             commit_window_bytes: 4 << 20,
-            flush_idle_fastpath: true,
             log: LogConfig::instant(),
             snapshot_min_bytes: 64 * 1024,
             snapshot_ratio: 0.25,

@@ -13,10 +13,11 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | §3.1 decoupled durability, effect interception | [`node`], [`record`] |
-//! | §3.2 client-blocking tracker, key-level hazards | [`tracker`], [`node`] |
-//! | §3.2 commit pipeline, cross-connection group commit | [`pipeline`], [`node`] |
-//! | §4.1 leader election, leases, fencing | [`node`] (election), [`record`] |
+//! | §3.1 decoupled durability, effect interception | [`serve`], [`record`] |
+//! | §3.2 client-blocking tracker, key-level hazards | [`tracker`], [`serve`] |
+//! | §3.2 commit pipeline, cross-connection group commit | [`pipeline`], `commit` |
+//! | §2 engine striping, stripe routing | [`stripes`], `route` |
+//! | §4.1 leader election, leases, fencing | [`node`], [`record`] |
 //! | §4.2 recovery, data restoration | [`restore`], [`manifest`], [`monitor`] |
 //! | §4.2.2 off-box snapshotting (incremental) | [`offbox`], [`manifest`] |
 //! | §4.2.3 snapshot scheduling | [`scheduler`] |
@@ -29,6 +30,7 @@ pub mod apply;
 pub mod bus;
 pub mod client;
 pub mod cluster;
+mod commit;
 pub mod config;
 pub mod manifest;
 pub mod migration;
@@ -38,7 +40,9 @@ pub mod offbox;
 pub mod pipeline;
 pub mod record;
 pub mod restore;
+mod route;
 pub mod scheduler;
+pub mod serve;
 pub mod shard;
 pub mod slotset;
 pub mod snapshot;
@@ -53,12 +57,13 @@ pub use config::ShardConfig;
 pub use manifest::{ChunkRef, SnapshotImage, SnapshotManifest};
 pub use migration::{migrate_slot, MigrationError};
 pub use monitor::MonitoringService;
-pub use node::{Node, ShardContext, SubmittedBatch};
+pub use node::{Node, ShardContext};
 pub use offbox::OffboxSnapshotter;
 pub use pipeline::TicketOutcome;
 pub use record::{NodeId, Record, ShardId};
 pub use restore::{RestoreOptions, SeedInfo};
 pub use scheduler::SnapshotScheduler;
+pub use serve::SubmittedBatch;
 pub use shard::{NodeIdGen, Shard};
 pub use slotset::SlotSet;
 pub use snapshot::ShardSnapshot;

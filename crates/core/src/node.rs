@@ -14,20 +14,16 @@
 use crate::apply::{apply_entry_striped, fold_appended_payload, ReplicaState};
 use crate::bus::{BusRole, ClusterBus};
 use crate::config::ShardConfig;
-use crate::pipeline::{CommitPipeline, StagedRun, Ticket, TicketOutcome, TicketSpec};
+use crate::pipeline::{CommitPipeline, Ticket, TicketOutcome};
 use crate::record::{NodeId, Record, ShardId};
 use crate::restore::{restore_replica_opts, ReplayTarget, RestoreOptions, RestorePoint};
 use crate::snapshot::ShardSnapshot;
-use crate::stripes::{stripe_of, EngineStripes, StripeGuards};
+use crate::stripes::{stripe_of, EngineStripes};
 use crate::tracker::Tracker;
 use bytes::Bytes;
-use memorydb_engine::command::command_spec;
 use memorydb_engine::exec::Role;
-use memorydb_engine::{
-    eval_on_host, for_each_key, key_hash_slot, keys_for, CmdName, DirtySet, EffectCmd, Engine,
-    ExecOutcome, Frame, ScriptHost, SessionState,
-};
-use memorydb_metrics::{CounterId, GaugeId, Registry, StageId};
+use memorydb_engine::{CmdName, DirtySet, EffectCmd, Engine, SessionState};
+use memorydb_metrics::{CounterId, GaugeId, Registry};
 use memorydb_objectstore::ObjectStore;
 use memorydb_txlog::{AppendError, EntryId, LogService, ReadError};
 use parking_lot::Mutex;
@@ -61,12 +57,14 @@ impl std::fmt::Debug for ShardContext {
     }
 }
 
-struct NodeState {
-    role: Role,
-    rs: ReplicaState,
-    tracker: Tracker,
+/// Everything `st` guards. The serve path (`serve.rs`) and the commit side
+/// (`commit.rs`) read and fold into it under the same lock.
+pub(crate) struct NodeState {
+    pub(crate) role: Role,
+    pub(crate) rs: ReplicaState,
+    pub(crate) tracker: Tracker,
     /// Primary: my lease is valid until here; I stop serving at expiry.
-    lease_valid_until: Instant,
+    pub(crate) lease_valid_until: Instant,
     /// Primary: a renewal staged but not yet confirmed durable. The ticket
     /// (not `is_durable` on the prospective id) is the confirmation: after
     /// a fence another leader's entry may occupy that id, and extending the
@@ -74,19 +72,19 @@ struct NodeState {
     pending_renewal: Option<(Arc<Ticket>, Instant)>,
     /// Primary: when to append the next renewal.
     next_renewal_at: Instant,
-    effects_since_probe: u64,
-    demote_requested: bool,
+    pub(crate) effects_since_probe: u64,
+    pub(crate) demote_requested: bool,
     /// The engine executed mutations whose log append was REJECTED (fenced
     /// or partitioned): those keys are dirty but not hazard-tracked, so the
     /// node must not serve anything — not even reads — until the rebuild
     /// discards them. A timed-out append is different: its entries are in
     /// the log and in the tracker, so clean reads stay safe.
-    state_poisoned: bool,
+    pub(crate) state_poisoned: bool,
     /// A rebuild (restore from snapshot+log) is in progress.
-    rebuilding: bool,
+    pub(crate) rebuilding: bool,
     /// Migration forwarding: writes to these slots are mirrored to the
     /// target shard's primary during the data-movement phase (§5.2).
-    forward: HashMap<u16, Arc<Node>>,
+    pub(crate) forward: HashMap<u16, Arc<Node>>,
 }
 
 /// Wall-clock milliseconds (the engine clock source in the threaded
@@ -102,25 +100,25 @@ pub fn wall_ms() -> u64 {
 pub struct Node {
     /// Globally unique node id (also its txlog client id).
     pub id: NodeId,
-    ctx: Arc<ShardContext>,
+    pub(crate) ctx: Arc<ShardContext>,
     /// Slot-partitioned engine stripes (DESIGN.md §12): a batch confined to
     /// one stripe takes only that stripe's lock, so disjoint-stripe batches
     /// execute concurrently; cross-stripe work acquires every stripe in
     /// canonical ascending order via [`EngineStripes::lock_all`].
-    stripes: EngineStripes,
-    st: Mutex<NodeState>,
-    alive: AtomicBool,
+    pub(crate) stripes: EngineStripes,
+    pub(crate) st: Mutex<NodeState>,
+    pub(crate) alive: AtomicBool,
     /// Per-node observability: stage latency histograms, counters, and the
     /// slowlog ring surfaced by `INFO`/`SLOWLOG`/`LATENCY` (DESIGN.md §10).
-    metrics: Arc<Registry>,
-    /// Commit pipeline (DESIGN.md §11): staged runs awaiting the committer
-    /// thread's coalesced append, and appended tickets awaiting the
+    pub(crate) metrics: Arc<Registry>,
+    /// Commit pipeline (DESIGN.md §11): staged runs awaiting the flush
+    /// leader's coalesced append, and appended tickets awaiting the
     /// completer thread's watermark check.
-    pipeline: Arc<CommitPipeline>,
+    pub(crate) pipeline: Arc<CommitPipeline>,
     /// Group-commit leadership: whoever holds this drains the staged queue
     /// and appends. Serializing drain+append here is what keeps log order
     /// equal to fold order when submitters flush on their own thread.
-    flush_token: Mutex<()>,
+    pub(crate) flush_token: Mutex<()>,
     /// Rotating active-expire cursor: each pass reaps one stripe under its
     /// own `lock_one`, so background expiration never stalls the other
     /// stripes behind an all-stripe acquisition.
@@ -133,87 +131,6 @@ impl std::fmt::Debug for Node {
             .field("id", &self.id)
             .field("role", &self.role())
             .finish()
-    }
-}
-
-/// A batch that has executed and staged its mutations on the commit
-/// pipeline, with the mutation replies still parked on its [`Ticket`]
-/// (DESIGN.md §11). Produced by [`Node::handle_batch_submit`], consumed by
-/// [`Node::try_finish`] / [`Node::wait_finish`].
-pub struct SubmittedBatch {
-    /// Replies in submission order; mutation slots hold `Frame::Null`
-    /// placeholders until the ticket resolves.
-    replies: Vec<Frame>,
-    /// `(index, reply)` for each staged mutation — installed only on a
-    /// durable resolution.
-    staged_replies: Vec<(usize, Frame)>,
-    /// `(index, hazard entry)` for reads before the first mutation.
-    hazard_reads: Vec<(usize, EntryId)>,
-    /// Indices of successfully-validated `WAIT` commands: on a timed-out
-    /// ticket these report the replica count actually achieved instead of
-    /// inheriting the blanket ambiguous-commit error.
-    wait_indices: Vec<usize>,
-    first_write_index: Option<usize>,
-    /// `None` when the batch never touched the pipeline (pure reads with
-    /// no hazards): the replies are final already.
-    ticket: Option<Arc<Ticket>>,
-}
-
-impl SubmittedBatch {
-    /// Has the pipeline resolved this batch's ticket (or was none needed)?
-    pub fn is_complete(&self) -> bool {
-        self.ticket.as_ref().is_none_or(|t| t.is_resolved())
-    }
-
-    /// Registers a completion callback on the pending ticket; fires
-    /// immediately when the batch is already complete.
-    pub fn set_waker(&self, waker: Box<dyn FnOnce() + Send>) {
-        match &self.ticket {
-            Some(t) => t.set_waker(waker),
-            None => waker(),
-        }
-    }
-
-    /// The batch's commit ticket, if it staged one (test visibility).
-    #[cfg(test)]
-    pub(crate) fn ticket_ref(&self) -> Option<&Arc<Ticket>> {
-        self.ticket.as_ref()
-    }
-}
-
-/// Commands that must observe every stripe regardless of their key
-/// signature: whole-keyspace scans and fan-outs, transaction closers (the
-/// queued commands may span stripes), and the config/script broadcasts that
-/// keep per-stripe state identical.
-/// `DBSIZE` and `RANDOMKEY` are deliberately absent: per-stripe key
-/// counters (refreshed on every guard drop) let `DBSIZE` answer from any
-/// single stripe and let `RANDOMKEY` pre-pick a count-weighted stripe, so
-/// neither needs the all-stripe acquisition on its own any more. Both keep
-/// their exact all-stripe forms for EXEC bodies, scripts and mixed batches.
-const FORCE_ALL_STRIPES: &[&str] = &[
-    "EXEC", "SCAN", "KEYS", "FLUSHALL", "FLUSHDB", "INFO", "CONFIG", "SCRIPT", "EVAL", "EVALSHA",
-];
-
-/// Keyless commands that touch no keyspace state at all (session- or
-/// node-level only) — safe to run on whichever single stripe a batch holds.
-/// Any other keyless command conservatively takes the all-stripe route.
-const STRIPE_AGNOSTIC: &[&str] = &[
-    "PING", "ECHO", "TIME", "SELECT", "WAIT", "SLOWLOG", "LATENCY", "MULTI", "DISCARD", "UNWATCH",
-    "COMMAND",
-];
-
-/// A [`ScriptHost`] over the full stripe set: routes each of a script's
-/// inner commands to the stripe owning its keys (the interpreter rejects
-/// MULTI/EXEC/EVAL inside scripts before they reach the host), so one
-/// script may read and write across stripes while its effects still form
-/// one atomic replication batch.
-struct StripedHost<'g, 'a> {
-    guards: &'g mut StripeGuards<'a>,
-}
-
-impl ScriptHost for StripedHost<'_, '_> {
-    fn run_script_cmd(&mut self, cmd: &[Bytes]) -> ExecOutcome {
-        Node::execute_single_routed(self.guards, cmd)
     }
 }
 
@@ -380,8 +297,10 @@ impl Node {
     }
 
     /// Simulates a hard crash: the run loop exits, the node stops serving.
-    /// The pipeline threads drain whatever is in flight before exiting, so
-    /// no parked reply hangs past the commit timeout.
+    /// No parked reply is left hanging: the committer flushes what is still
+    /// staged, and the completer resolves every appended ticket as
+    /// ambiguous and exits within one 50 ms slice — a dead node acks
+    /// nothing more, whether or not the log is still committing.
     pub fn crash(&self) {
         self.alive.store(false, Ordering::SeqCst);
         self.ctx.bus.remove(self.id);
@@ -411,7 +330,7 @@ impl Node {
                 node: self.id,
                 epoch: st.rs.epoch,
             };
-            self.stage_control_locked(&mut st, rec.encode_framed())
+            self.stage_internal_locked(&mut st, rec.encode_framed(), None, None)
         };
         let ok = matches!(
             ticket.wait(self.ticket_wait_cap()),
@@ -421,1604 +340,12 @@ impl Node {
         ok
     }
 
-    // ---------------------------------------------------------------------
-    // Client command path
-    // ---------------------------------------------------------------------
-
-    /// Executes one client command against this node, blocking until the
-    /// reply may be released (commit for writes; hazard commit for reads).
-    ///
-    /// This is the single-command view of [`Node::handle_batch`]; both
-    /// paths share one implementation so their semantics cannot drift.
-    pub fn handle(&self, session: &mut SessionState, args: &[Bytes]) -> Frame {
-        let one = [args.to_vec()];
-        self.handle_batch(session, &one)
-            .pop()
-            .unwrap_or_else(|| Frame::error("ERR internal: batch returned no reply"))
-    }
-
-    /// Executes a pipeline of commands with **one** stripe-lock
-    /// acquisition and **one** commit ticket covering every mutation
-    /// (group commit, §3.1's BtrLog batching), blocking until the commit
-    /// pipeline releases the whole pipeline of replies (§3.2).
-    ///
-    /// Replies come back in submission order. Semantics match running the
-    /// same commands one at a time through [`Node::handle`]: per-command
-    /// role/slot checks, MULTI/EXEC session state, read hazards, and the
-    /// no-unacknowledged-data-loss rule (a mutation whose append is fenced
-    /// poisons every later command in the batch, because those executed
-    /// against state that will be discarded on demotion).
-    ///
-    /// This is the blocking wrapper over [`Node::handle_batch_submit`] +
-    /// [`Node::wait_finish`]; the multiplexed server uses the split form
-    /// to park replies instead of blocking its IO threads (DESIGN.md §11).
-    ///
-    /// Because this caller blocks for its replies anyway, it is the path
-    /// that takes the adaptive idle fast path (DESIGN.md §13): when the
-    /// pipeline is idle at staging time the submitting thread appends its
-    /// own run inline instead of bouncing through the committer.
-    pub fn handle_batch(&self, session: &mut SessionState, cmds: &[Vec<Bytes>]) -> Vec<Frame> {
-        let sb = self.submit_batch_inner(session, cmds, true);
-        self.wait_finish(sb)
-    }
-
-    /// The non-blocking half of [`Node::handle_batch`]: classifies the batch
-    /// by CRC16 slot stripe, executes it under the owning stripe lock(s)
-    /// (DESIGN.md §12), stages its mutations (and read hazards) on
-    /// the commit pipeline, and returns with the mutation replies still
-    /// parked on the batch's ticket. [`Node::try_finish`] /
-    /// [`Node::wait_finish`] release them once the ticket resolves.
-    ///
-    /// This split form never takes the inline idle flush: the caller is a
-    /// multiplexing IO thread that must return to its event loop, so the
-    /// run always rides the committer handoff — which is also what lets
-    /// the committer coalesce runs from many connections into one append.
-    pub fn handle_batch_submit(
-        &self,
-        session: &mut SessionState,
-        cmds: &[Vec<Bytes>],
-    ) -> SubmittedBatch {
-        self.submit_batch_inner(session, cmds, false)
-    }
-
-    /// Shared body of [`Node::handle_batch`] / [`Node::handle_batch_submit`].
-    /// `allow_inline` is true only for blocking callers: the idle fast path
-    /// blocks the submitting thread on the log append, which is only
-    /// acceptable when that thread was about to block on the reply anyway.
-    fn submit_batch_inner(
-        &self,
-        session: &mut SessionState,
-        cmds: &[Vec<Bytes>],
-        allow_inline: bool,
-    ) -> SubmittedBatch {
-        let mut replies: Vec<Frame> = Vec::with_capacity(cmds.len());
-        if cmds.is_empty() {
-            return SubmittedBatch {
-                replies,
-                staged_replies: Vec::new(),
-                hazard_reads: Vec::new(),
-                wait_indices: Vec::new(),
-                first_write_index: None,
-                ticket: None,
-            };
-        }
-
-        /// A mutation staged for the batch's single group-commit append.
-        struct StagedWrite {
-            index: usize,
-            payload: Bytes,
-            dirty: memorydb_engine::DirtySet,
-            slot: Option<u16>,
-            effects: Vec<EffectCmd>,
-            reply: Frame,
-        }
-
-        let mut staged: Vec<StagedWrite> = Vec::new();
-        let mut first_write_index: Option<usize> = None;
-        // Read hazards for commands before the first mutation; later reads
-        // are covered by the batch's own (newer) log entries.
-        let mut hazard_reads: Vec<(usize, EntryId)> = Vec::new();
-        let mut wait_indices: Vec<usize> = Vec::new();
-
-        let e2e_start = self.metrics.now_us();
-        // Backpressure (§11): block while the in-flight commit window is
-        // full, before taking any lock (the pipeline threads need them to
-        // drain the window). Attributed to `commit_queue_wait` so the e2e
-        // breakdown still closes when the window engages.
-        let windowed = self.pipeline.wait_for_window(
-            self.ctx.cfg.commit_window_entries,
-            self.ctx.cfg.commit_window_bytes,
-            self.ctx.cfg.commit_timeout,
-        );
-        let windowed_us = windowed.as_micros() as u64;
-        if windowed_us > 0 {
-            self.metrics
-                .record_stage(StageId::CommitQueueWait, windowed_us);
-        }
-        self.metrics.incr(CounterId::BatchesDispatched);
-        self.metrics
-            .add(CounterId::CommandsDispatched, cmds.len() as u64);
-
-        // Classify before any lock: a batch confined to one stripe takes
-        // only that stripe's lock and runs concurrently with batches on
-        // other stripes; anything else locks all stripes in ascending order.
-        let route = self.classify_batch(cmds);
-        let engine_start = self.metrics.now_us();
-        let mut guards = match route {
-            Some(idx) => self.stripes.lock_one(idx),
-            None => {
-                self.metrics.incr(CounterId::CrossStripeOps);
-                self.stripes.lock_all()
-            }
-        };
-        let lock_acquired_us = self.metrics.now_us();
-        let now_ms = wall_ms();
-        for e in guards.each() {
-            e.set_time_ms(now_ms);
-        }
-        // `CONFIG SET slowlog-log-slower-than` lands in engine config
-        // (broadcast to every stripe); mirror it into the registry's slowlog
-        // under the already-held stripe lock.
-        if let Some(t) = guards
-            .first_ref()
-            .config_param("slowlog-log-slower-than")
-            .and_then(|v| v.parse::<i64>().ok())
-        {
-            self.metrics.slowlog().set_threshold_us(t);
-        }
-
-        for (i, args) in cmds.iter().enumerate() {
-            let Some(cmd_name) = args.first() else {
-                replies.push(Frame::error("empty command"));
-                continue;
-            };
-            let name = CmdName::from_arg(cmd_name);
-
-            // WAIT numreplicas timeout: every acknowledged write is already
-            // durable across AZs, so any satisfiable replica count is met
-            // immediately; reply with the number of gossiping replicas,
-            // like MemoryDB. The arguments are still validated like Redis.
-            if name == "WAIT" {
-                let (Some(raw_replicas), Some(raw_timeout), 3) =
-                    (args.get(1), args.get(2), args.len())
-                else {
-                    replies.push(Frame::error(
-                        "ERR wrong number of arguments for 'wait' command",
-                    ));
-                    continue;
-                };
-                let numreplicas = String::from_utf8_lossy(raw_replicas).parse::<i64>();
-                let timeout_ms = String::from_utf8_lossy(raw_timeout).parse::<i64>();
-                replies.push(match (numreplicas, timeout_ms) {
-                    (Ok(_), Ok(t)) if t >= 0 => {
-                        wait_indices.push(i);
-                        Frame::Integer(self.ctx.bus.replica_count(self.ctx.shard_id) as i64)
-                    }
-                    (Ok(_), Ok(_)) => Frame::error("ERR timeout is negative"),
-                    _ => Frame::error("ERR value is not an integer or out of range"),
-                });
-                continue;
-            }
-
-            // INFO at the node level: the engine only knows its keyspace;
-            // the replication/cluster sections live here.
-            if name == "INFO" {
-                let st = self.st.lock();
-                replies.push(self.info_reply_locked(&guards, &st, args.get(1)));
-                continue;
-            }
-
-            // SLOWLOG / LATENCY read the node's metrics registry; the engine
-            // only carries empty-shaped fallbacks for standalone use.
-            if name == "SLOWLOG" {
-                replies.push(self.slowlog_reply(args));
-                continue;
-            }
-            if name == "LATENCY" {
-                replies.push(self.latency_reply(args));
-                continue;
-            }
-
-            let keys = keys_for(args);
-            let is_write = command_spec(&name).is_some_and(|s| s.flags.write);
-            // Cross-slot detection needs no node state.
-            let mut cmd_slot: Option<u16> = None;
-            let mut crossslot = false;
-            if let Some(keys) = &keys {
-                for key in keys {
-                    let slot = key_hash_slot(key);
-                    match cmd_slot {
-                        None => cmd_slot = Some(slot),
-                        Some(s) if s != slot => {
-                            crossslot = true;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-
-            // Node-state gate, under a short `st` section: the stripe lock
-            // (not `st`) is what serializes execution now, so `st` is held
-            // only long enough to read the role/lease/slot state. Check
-            // order matches the pre-striping single-lock path exactly.
-            let gate: Option<Frame> = {
-                let st = self.st.lock();
-                if st.rebuilding {
-                    Some(Frame::Error(
-                        "CLUSTERDOWN node is syncing from the transaction log".into(),
-                    ))
-                } else if let Some(halt) = &st.rs.halted {
-                    Some(Frame::Error(
-                        format!("CLUSTERDOWN replication halted: {halt}").into(),
-                    ))
-                } else {
-                    match st.role {
-                        // A fenced append left executed-but-unlogged
-                        // mutations in the engine: serving even a read here
-                        // could expose values that the imminent rebuild will
-                        // discard (a read-then-unread anomaly the chaos
-                        // harness caught).
-                        Role::Primary if st.state_poisoned => Some(Frame::Error(
-                            "CLUSTERDOWN uncommitted state pending rebuild; demoting".into(),
-                        )),
-                        // §4.1.3: a primary that cannot keep its lease
-                        // voluntarily stops servicing reads and writes.
-                        Role::Primary if Instant::now() >= st.lease_valid_until => Some(
-                            Frame::Error("CLUSTERDOWN leadership lease expired; demoting".into()),
-                        ),
-                        Role::Replica if is_write => Some(Frame::Error(
-                            format!(
-                                "MOVED {} shard-{}",
-                                keys.as_ref()
-                                    .and_then(|k| k.first())
-                                    .map(|k| key_hash_slot(k))
-                                    .unwrap_or(0),
-                                self.ctx.shard_id
-                            )
-                            .into(),
-                        )),
-                        _ if crossslot => Some(Frame::Error(
-                            "CROSSSLOT Keys in request don't hash to the same slot".into(),
-                        )),
-                        _ => match cmd_slot {
-                            Some(slot) if !st.rs.owned_slots.contains(slot) => {
-                                Some(Frame::Error(format!("MOVED {slot} ?").into()))
-                            }
-                            Some(slot) if is_write && st.rs.blocked_slots.contains(&slot) => Some(
-                                Frame::Error("TRYAGAIN slot ownership transfer in progress".into()),
-                            ),
-                            _ => None,
-                        },
-                    }
-                }
-            };
-            if let Some(err) = gate {
-                replies.push(err);
-                continue;
-            }
-
-            // DBSIZE without an all-stripe sweep: the held stripe's live
-            // count plus the other stripes' published counters (refreshed on
-            // every guard drop). Inside MULTI the command queues like any
-            // other and EXEC's all-stripe route answers it exactly.
-            if name == "DBSIZE" && !session.in_multi() {
-                if args.len() == 1 {
-                    let total = if guards.is_all() {
-                        guards.dbs().iter().map(|db| db.len()).sum::<usize>()
-                    } else {
-                        guards.first_ref().db.len() + self.stripes.keys_elsewhere(guards.held_idx())
-                    };
-                    replies.push(Frame::Integer(total as i64));
-                } else {
-                    // Arity error, straight from the engine's own gate.
-                    replies.push(guards.any_engine().execute_single(args).reply);
-                }
-                continue;
-            }
-
-            let apply_start = self.metrics.now_us();
-            let outcome = self.execute_routed(&mut guards, session, &name, args);
-            let apply_us = self.metrics.now_us().saturating_sub(apply_start);
-            self.metrics.record_stage(StageId::Apply, apply_us);
-            if self
-                .metrics
-                .slowlog()
-                .observe(apply_us, (wall_ms() / 1000) as i64, || {
-                    args.iter().map(|a| a.to_vec()).collect()
-                })
-            {
-                self.metrics.incr(CounterId::SlowlogRecorded);
-            }
-
-            if outcome.effects.is_empty() {
-                // Read (or no-op write): key-level hazard check (§3.2).
-                // EXEC has no keys of its own; be conservative and use the
-                // max pending. A write to this command's keys lives on this
-                // same stripe, and writers hold their stripe lock through
-                // the fold, so the tracker already carries any hazard our
-                // read could have observed.
-                let hazard = {
-                    let st = self.st.lock();
-                    match &keys {
-                        Some(ks) if name != "EXEC" => st.tracker.hazard_for(ks.iter()),
-                        _ if name == "EXEC" || name == "FLUSHALL" || name == "FLUSHDB" => {
-                            st.tracker.max_pending()
-                        }
-                        _ => None,
-                    }
-                };
-                if let Some(h) = hazard {
-                    if first_write_index.is_none() {
-                        hazard_reads.push((i, h));
-                    }
-                    // else: the batch's own entries are newer than any
-                    // tracked hazard, so the single batch wait covers it.
-                }
-                replies.push(outcome.reply);
-            } else {
-                // Mutation: stage its effect record; the fold happens
-                // once, below, while the stripe lock is still held, so log
-                // order equals execution order within the stripe (§3.2).
-                let record = Record::Effects {
-                    version: guards.first_ref().version(),
-                    effects: outcome.effects,
-                };
-                let payload = record.encode_framed();
-                // Take the effects back out — encoding borrowed them, so the
-                // argument vectors never re-clone on the hot path.
-                let effects = match record {
-                    Record::Effects { effects, .. } => effects,
-                    _ => Vec::new(),
-                };
-                first_write_index.get_or_insert(i);
-                staged.push(StagedWrite {
-                    index: i,
-                    payload,
-                    dirty: outcome.dirty,
-                    slot: cmd_slot,
-                    effects,
-                    reply: outcome.reply,
-                });
-                // Placeholder until the batch commits durably.
-                replies.push(Frame::Null);
-            }
-        }
-
-        // Group commit, decoupled (§11): fold prospective entry ids under
-        // `st` while the stripe lock is still held — within a stripe, log
-        // order equals execution order, exactly as the single-lock path
-        // did — enqueue one commit ticket, and let the committer thread
-        // perform the coalesced conditional append.
-        let mut ticket: Option<Arc<Ticket>> = None;
-        let mut staged_replies: Vec<(usize, Frame)> = Vec::new();
-        // Adaptive group commit (DESIGN.md §13): set when the pipeline was
-        // idle at staging time — the submitting connection then appends its
-        // own run inline after dropping the locks, instead of bouncing
-        // through the flush-token race and the committer thread.
-        let mut inline_flush = false;
-        let run_stripe: Option<u16> = if guards.is_all() {
-            None
-        } else {
-            Some(guards.held_idx() as u16)
-        };
-        if !staged.is_empty() {
-            let mut st = self.st.lock();
-            if st.state_poisoned || st.rebuilding || st.role != Role::Primary {
-                // The per-command gate no longer holds `st` through
-                // execution, so a fence on another stripe can poison the
-                // node mid-batch. These mutations executed but must not
-                // fold: they are exactly the executed-but-unlogged state
-                // the imminent rebuild discards. Fail their replies (and
-                // any earlier hazard reads) like a poisoned ticket would.
-                drop(st);
-                let first = first_write_index.unwrap_or(replies.len());
-                for reply in replies.iter_mut().skip(first) {
-                    *reply = Frame::Error(
-                        "CLUSTERDOWN uncommitted state pending rebuild; demoting".into(),
-                    );
-                }
-                for &(i, _) in &hazard_reads {
-                    if let Some(slot) = replies.get_mut(i) {
-                        *slot =
-                            Frame::Error("CLUSTERDOWN timed out waiting for hazard commit".into());
-                    }
-                }
-            } else {
-                let first_id = st.rs.applied.next();
-                let mut payloads: Vec<Bytes> = Vec::with_capacity(staged.len() + 1);
-                let mut bytes = 0usize;
-                for w in &staged {
-                    let id = st.rs.applied.next();
-                    fold_appended_payload(&mut st.rs, id, &w.payload, false);
-                    st.rs.mark_dirty(&w.dirty);
-                    st.tracker.stage(id, &w.dirty);
-                    bytes += w.payload.len();
-                    payloads.push(w.payload.clone());
-                }
-                st.effects_since_probe += staged.len() as u64;
-                if st.effects_since_probe >= self.ctx.cfg.checksum_probe_every {
-                    st.effects_since_probe = 0;
-                    let probe = Record::ChecksumProbe {
-                        crc: st.rs.running_crc,
-                    }
-                    .encode_framed();
-                    let pid = st.rs.applied.next();
-                    fold_appended_payload(&mut st.rs, pid, &probe, true);
-                    bytes += probe.len();
-                    payloads.push(probe);
-                }
-                // Mirror to migration targets if these slots are being moved
-                // (§5.2). Sent while holding the stripe lock so the target
-                // observes effects in execution order.
-                for w in &staged {
-                    if let Some(slot) = w.slot {
-                        if let Some(target) = st.forward.get(&slot).cloned() {
-                            let _ = target.ingest_effects(&w.effects, true);
-                        }
-                    }
-                }
-                let now_us = self.metrics.now_us();
-                // Idle/busy decision from the in-flight ticket count (never
-                // a wall-clock sleep): with nothing staged and no window
-                // claims outstanding, this connection appends inline. `st`
-                // is held, and every staging site holds `st`, so no run can
-                // slip in between this check and ours. Lock order st < q
-                // makes the pipeline probe safe here.
-                let idle =
-                    allow_inline && self.ctx.cfg.flush_idle_fastpath && self.pipeline.is_idle();
-                let t = Ticket::new(TicketSpec {
-                    last_id: st.rs.applied,
-                    entries: payloads.len(),
-                    bytes,
-                    epoch: st.rs.epoch,
-                    deadline: Instant::now() + self.ctx.cfg.commit_timeout,
-                    e2e_start_us: e2e_start,
-                    now_us,
-                    attributed: true,
-                });
-                // Staged while `st` is held: queue order is fold order,
-                // which the committer's fencing argument relies on. The
-                // idle path skips the committer wakeup — the submitting
-                // thread flushes this run itself right after unlocking.
-                let run = StagedRun {
-                    ticket: Arc::clone(&t),
-                    payloads,
-                    first_id,
-                    stripe: run_stripe,
-                };
-                if idle {
-                    self.pipeline.stage_quiet(run);
-                    inline_flush = true;
-                } else {
-                    self.pipeline.stage(run);
-                }
-                staged_replies = staged.into_iter().map(|w| (w.index, w.reply)).collect();
-                ticket = Some(t);
-            }
-        } else if let Some(h) = hazard_reads.iter().map(|&(_, h)| h).max() {
-            // Read-only batch with hazards: ride the staged queue with an
-            // empty run so a fence poisons it in submission order — the
-            // hazard ids are prospective, and after a fence another
-            // leader's entry may occupy them, so `is_durable` alone cannot
-            // clear these reads. Staged under `st` like the write path: a
-            // fence can land between execution and here, and an unpoisoned
-            // hazard run staged after the poison drain would wait out its
-            // full deadline against ids another leader may now own.
-            let st = self.st.lock();
-            if st.state_poisoned || st.rebuilding || st.role != Role::Primary {
-                drop(st);
-                for &(i, _) in &hazard_reads {
-                    if let Some(slot) = replies.get_mut(i) {
-                        *slot =
-                            Frame::Error("CLUSTERDOWN timed out waiting for hazard commit".into());
-                    }
-                }
-            } else {
-                let now_us = self.metrics.now_us();
-                let t = Ticket::new(TicketSpec {
-                    last_id: h,
-                    entries: 0,
-                    bytes: 0,
-                    epoch: st.rs.epoch,
-                    deadline: Instant::now() + self.ctx.cfg.commit_timeout,
-                    e2e_start_us: e2e_start,
-                    now_us,
-                    attributed: true,
-                });
-                self.pipeline.stage(StagedRun {
-                    ticket: Arc::clone(&t),
-                    payloads: Vec::new(),
-                    first_id: EntryId(0),
-                    stripe: run_stripe,
-                });
-                ticket = Some(t);
-            }
-        }
-
-        drop(guards);
-        let lock_dropped_us = self.metrics.now_us();
-        let held_us = lock_dropped_us.saturating_sub(lock_acquired_us);
-        // Both views of the same span: `engine_lock_hold` keeps its historic
-        // name for existing dashboards; `stripe_lock_hold` is the per-stripe
-        // serving-lock hold the striping work gates on.
-        self.metrics.record_stage(StageId::EngineLockHold, held_us);
-        self.metrics.record_stage(StageId::StripeLockHold, held_us);
-        self.metrics.record_stage(
-            StageId::Engine,
-            lock_dropped_us.saturating_sub(engine_start),
-        );
-        match &ticket {
-            // Re-stamp queue entry so the `commit_queue_wait` span starts
-            // where the `engine` span ends (no double counting). When the
-            // pipeline already resolved the ticket — committer, quorum, and
-            // completer all outran this thread's bookkeeping — the reply
-            // could not have shipped before now, so this thread records the
-            // spans with the lock drop as the end stamp.
-            Some(t) => {
-                if t.note_unlocked(lock_dropped_us) && t.attributed {
-                    self.record_ticket_spans(t, lock_dropped_us);
-                }
-                if inline_flush {
-                    self.flush_inline_idle();
-                } else {
-                    self.try_self_flush();
-                }
-            }
-            // No pipeline involvement: the batch is complete right now.
-            None => self
-                .metrics
-                .record_stage(StageId::E2e, lock_dropped_us.saturating_sub(e2e_start)),
-        }
-
-        SubmittedBatch {
-            replies,
-            staged_replies,
-            hazard_reads,
-            wait_indices,
-            first_write_index,
-            ticket,
-        }
-    }
-
-    // ---------------------------------------------------------------------
-    // Stripe routing (DESIGN.md §12)
-    // ---------------------------------------------------------------------
-
-    /// Classifies a batch by the stripes its commands touch: `Some(idx)`
-    /// when every command is confined to stripe `idx` (the single-stripe
-    /// fast path), `None` when any command needs the all-stripe route.
-    /// Pure — runs before any lock is taken, so misrouting is impossible
-    /// to race into: keys hash to the same stripe no matter who computes it.
-    fn classify_batch(&self, cmds: &[Vec<Bytes>]) -> Option<usize> {
-        let n = self.stripes.count();
-        if n == 1 {
-            return Some(0);
-        }
-        let mut stripe: Option<usize> = None;
-        for args in cmds {
-            let Some(cmd_name) = args.first() else {
-                continue; // empty commands error without touching the keyspace
-            };
-            let name = CmdName::from_arg(cmd_name);
-            if FORCE_ALL_STRIPES.contains(&name.as_str()) {
-                return None;
-            }
-            // DBSIZE is answered from any held stripe (live count plus the
-            // other stripes' published counters) — stripe-agnostic.
-            if name == "DBSIZE" {
-                continue;
-            }
-            // RANDOMKEY: pre-pick a count-weighted stripe so the overall key
-            // distribution matches the unstriped engine; a batch whose other
-            // commands live elsewhere degrades to the all-stripe route,
-            // where `randomkey_striped` still answers exactly.
-            if name == "RANDOMKEY" && args.len() == 1 {
-                let s = self.stripes.weighted_random_stripe();
-                match stripe {
-                    None => stripe = Some(s),
-                    Some(prev) if prev != s => return None,
-                    _ => {}
-                }
-                continue;
-            }
-            // Visit the keys without collecting them — classification only
-            // needs each key's stripe, never the key itself.
-            let mut conflict = false;
-            let visited = for_each_key(args, |key| {
-                let s = stripe_of(key_hash_slot(key), n);
-                match stripe {
-                    None => stripe = Some(s),
-                    Some(prev) if prev != s => conflict = true,
-                    _ => {}
-                }
-            });
-            if conflict {
-                return None;
-            }
-            match visited {
-                Some(k) if k > 0 => {}
-                _ => {
-                    // Keyless or unknown: only the known session-/node-local
-                    // commands are safe on one stripe; everything else gets
-                    // the conservative all-stripe route.
-                    if !STRIPE_AGNOSTIC.contains(&name.as_str()) {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(stripe.unwrap_or(0))
-    }
-
-    /// Executes one client command against the held stripe set. On the
-    /// single-stripe route the classification already proved every key
-    /// lives on the held stripe, so this is a plain engine call; on the
-    /// all-stripe route, fan-out commands visit every stripe and keyed
-    /// commands their owning stripe.
-    fn execute_routed(
-        &self,
-        guards: &mut StripeGuards<'_>,
-        session: &mut SessionState,
-        name: &str,
-        args: &[Bytes],
-    ) -> ExecOutcome {
-        if !guards.is_all() || guards.stripe_count() == 1 {
-            return guards.any_engine().execute(session, args);
-        }
-        if name == "EXEC" {
-            return self.exec_striped(guards, session);
-        }
-        if session.in_multi() {
-            // Queueing (and the MULTI-nesting / WATCH-inside-MULTI errors)
-            // is session state only; no keyspace is touched until EXEC.
-            return guards.any_engine().execute(session, args);
-        }
-        match name {
-            "FLUSHALL" | "FLUSHDB" | "DBSIZE" | "KEYS" | "SCAN" | "RANDOMKEY" | "CONFIG"
-            | "SCRIPT" | "EVAL" | "EVALSHA" => Self::execute_single_routed(guards, args),
-            _ => match keys_for(args).as_ref().and_then(|k| k.first()) {
-                // Keys past the first share its slot (the CROSSSLOT gate
-                // already ran), hence its stripe — WATCH included.
-                Some(key) => {
-                    let slot = key_hash_slot(key);
-                    guards.engine_for_slot(slot).execute(session, args)
-                }
-                None => guards.any_engine().execute(session, args),
-            },
-        }
-    }
-
-    /// Node-level `EXEC` for the all-stripe route: mirrors the engine's
-    /// `exec_transaction` exactly, but routes each watch validation and
-    /// each queued command to the stripe owning its keys, so a transaction
-    /// may span stripes while its effects stay one atomic log record.
-    fn exec_striped(
-        &self,
-        guards: &mut StripeGuards<'_>,
-        session: &mut SessionState,
-    ) -> ExecOutcome {
-        if !session.in_multi() {
-            return ExecOutcome::error("EXEC without MULTI");
-        }
-        let (queued, queue_error, watches) = session.take_transaction();
-        if queue_error {
-            return ExecOutcome::read(Frame::Error(
-                "EXECABORT Transaction discarded because of previous errors.".into(),
-            ));
-        }
-        // WATCH validation: any watched key modified since WATCH aborts.
-        // Each key's version lives on its owning stripe.
-        let aborted = watches
-            .iter()
-            .any(|(key, ver)| guards.engine_for_slot(key_hash_slot(key)).db.version(key) != *ver);
-        if aborted {
-            return ExecOutcome::read(Frame::Null);
-        }
-        let mut replies = Vec::with_capacity(queued.len());
-        let mut effects: Vec<EffectCmd> = Vec::new();
-        let mut dirty = DirtySet::None;
-        for cmd in &queued {
-            let out = Self::execute_single_routed(guards, cmd);
-            replies.push(out.reply);
-            effects.extend(out.effects);
-            dirty.merge(out.dirty);
-        }
-        // The whole transaction's effects form one atomic replication unit,
-        // exactly like the single-engine EXEC.
-        ExecOutcome::write(Frame::Array(replies), effects, dirty)
-    }
-
-    /// One already-validated command on the all-stripe route, without
-    /// session semantics: queued `EXEC` bodies and script-inner commands
-    /// (the engine rejects MULTI/EXEC/WATCH at queue/interpreter time, so
-    /// none of those reach here). Fan-out commands visit every stripe;
-    /// keyed commands run on their owning stripe.
-    fn execute_single_routed(guards: &mut StripeGuards<'_>, cmd: &[Bytes]) -> ExecOutcome {
-        let Some(first) = cmd.first() else {
-            return ExecOutcome::error("empty command");
-        };
-        let name = CmdName::from_arg(first);
-        match name.as_str() {
-            "FLUSHALL" | "FLUSHDB" => Self::flush_striped(guards, cmd),
-            "DBSIZE" => Self::dbsize_striped(guards, cmd),
-            "KEYS" => Self::keys_striped(guards, cmd),
-            "SCAN" => Self::scan_striped(guards, cmd),
-            "RANDOMKEY" => Self::randomkey_striped(guards, cmd),
-            // Broadcast so per-stripe configs and script caches stay
-            // identical (both are node-local, never replicated); the
-            // replies are deterministic and equal, keep the first.
-            "CONFIG" | "SCRIPT" => Self::broadcast_striped(guards, cmd),
-            "EVAL" | "EVALSHA" => Self::eval_striped(guards, &name, cmd),
-            _ => match keys_for(cmd).as_ref().and_then(|k| k.first()) {
-                Some(key) => {
-                    let slot = key_hash_slot(key);
-                    guards.engine_for_slot(slot).execute_single(cmd)
-                }
-                None => guards.any_engine().execute_single(cmd),
-            },
-        }
-    }
-
-    /// `FLUSHALL`/`FLUSHDB` across every stripe: one merged effect record
-    /// iff any stripe actually dropped keys, matching the single-engine
-    /// no-op rule (an empty database flush replicates nothing).
-    fn flush_striped(guards: &mut StripeGuards<'_>, args: &[Bytes]) -> ExecOutcome {
-        let mut reply: Option<Frame> = None;
-        let mut dirty = DirtySet::None;
-        let mut any_effect = false;
-        for e in guards.each() {
-            let out = e.execute_single(args);
-            if !out.effects.is_empty() {
-                any_effect = true;
-                dirty.merge(out.dirty);
-            }
-            reply.get_or_insert(out.reply);
-        }
-        let reply = reply.unwrap_or_else(Frame::ok);
-        if any_effect {
-            let name_only: Vec<Bytes> = args.iter().take(1).cloned().collect();
-            ExecOutcome::write(reply, vec![name_only], dirty)
-        } else {
-            ExecOutcome::read(reply)
-        }
-    }
-
-    /// `DBSIZE`: the sum of every stripe's key count.
-    fn dbsize_striped(guards: &mut StripeGuards<'_>, args: &[Bytes]) -> ExecOutcome {
-        let mut total: i64 = 0;
-        for e in guards.each() {
-            match e.execute_single(args).reply {
-                Frame::Integer(v) => total += v,
-                other => return ExecOutcome::read(other), // arity error
-            }
-        }
-        ExecOutcome::read(Frame::Integer(total))
-    }
-
-    /// `KEYS pattern`: the concatenation of every stripe's matches (like
-    /// Redis, the order is unspecified).
-    fn keys_striped(guards: &mut StripeGuards<'_>, args: &[Bytes]) -> ExecOutcome {
-        let mut all: Vec<Frame> = Vec::new();
-        for e in guards.each() {
-            match e.execute_single(args).reply {
-                Frame::Array(mut items) => all.append(&mut items),
-                other => return ExecOutcome::read(other), // arity error
-            }
-        }
-        ExecOutcome::read(Frame::Array(all))
-    }
-
-    /// `SCAN` with a composite cursor: the high bits select the stripe, the
-    /// low 48 the stripe-local cursor. A stripe's exhausted cursor (inner
-    /// 0) advances to the next stripe; the final stripe's yields cursor 0,
-    /// completing the iteration exactly once like a single-engine SCAN.
-    fn scan_striped(guards: &mut StripeGuards<'_>, args: &[Bytes]) -> ExecOutcome {
-        const INNER_BITS: u32 = 48;
-        const INNER_MASK: u64 = (1 << INNER_BITS) - 1;
-        let Some(raw) = args.get(1) else {
-            return guards.any_engine().execute_single(args); // arity error
-        };
-        let Ok(cursor) = String::from_utf8_lossy(raw).parse::<u64>() else {
-            return guards.any_engine().execute_single(args); // invalid cursor
-        };
-        let mut stripe = (cursor >> INNER_BITS) as usize;
-        let mut inner = cursor & INNER_MASK;
-        let n = guards.stripe_count();
-        if stripe >= n {
-            // A stale cursor past the last stripe (e.g. the stripe count
-            // shrank between calls): terminate cleanly.
-            return ExecOutcome::read(Frame::Array(vec![
-                Frame::Bulk(Bytes::from_static(b"0")),
-                Frame::Array(Vec::new()),
-            ]));
-        }
-        loop {
-            let mut sub = args.to_vec();
-            if let Some(slot) = sub.get_mut(1) {
-                *slot = Bytes::from(inner.to_string());
-            }
-            let out = guards.engine_at(stripe).execute_single(&sub);
-            match out.reply {
-                Frame::Array(mut items) => {
-                    let next_inner = match items.first() {
-                        Some(Frame::Bulk(raw)) => {
-                            String::from_utf8_lossy(raw).parse::<u64>().unwrap_or(0)
-                        }
-                        _ => 0,
-                    };
-                    let batch_empty = matches!(items.get(1), Some(Frame::Array(b)) if b.is_empty());
-                    if next_inner == 0 && batch_empty && stripe + 1 < n {
-                        // Exhausted stripe, nothing to return: fast-forward
-                        // to the next stripe inside this call. Without this,
-                        // a cursor gone stale mid-scan (FLUSHDB emptied the
-                        // keyspace) hands the client one empty page with a
-                        // nonzero cursor per remaining stripe before finally
-                        // reaching 0.
-                        stripe += 1;
-                        inner = 0;
-                        continue;
-                    }
-                    let next = if next_inner != 0 {
-                        ((stripe as u64) << INNER_BITS) | (next_inner & INNER_MASK)
-                    } else if stripe + 1 < n {
-                        ((stripe as u64) + 1) << INNER_BITS
-                    } else {
-                        0
-                    };
-                    if let Some(slot) = items.get_mut(0) {
-                        *slot = Frame::Bulk(Bytes::from(next.to_string()));
-                    }
-                    return ExecOutcome::read(Frame::Array(items));
-                }
-                other => return ExecOutcome::read(other), // bad MATCH/COUNT arguments
-            }
-        }
-    }
-
-    /// `RANDOMKEY`: pick a stripe weighted by its key count (so the overall
-    /// distribution matches the unstriped engine), then delegate.
-    fn randomkey_striped(guards: &mut StripeGuards<'_>, args: &[Bytes]) -> ExecOutcome {
-        if args.len() != 1 {
-            return guards.any_engine().execute_single(args); // arity error
-        }
-        let per: Vec<usize> = guards.dbs().iter().map(|db| db.len()).collect();
-        let total: usize = per.iter().sum();
-        if total == 0 {
-            return ExecOutcome::read(Frame::Null);
-        }
-        let mut pick = guards.any_engine().rand_index(total);
-        let mut idx = 0usize;
-        for (i, len) in per.iter().enumerate() {
-            if pick < *len {
-                idx = i;
-                break;
-            }
-            pick -= len;
-        }
-        guards.engine_at(idx).execute_single(args)
-    }
-
-    /// Runs `args` on every stripe, returning the first stripe's outcome
-    /// (CONFIG/SCRIPT are deterministic and node-local, so the outcomes are
-    /// identical — the broadcast only keeps the per-stripe state in sync).
-    fn broadcast_striped(guards: &mut StripeGuards<'_>, args: &[Bytes]) -> ExecOutcome {
-        let mut first: Option<ExecOutcome> = None;
-        for e in guards.each() {
-            let out = e.execute_single(args);
-            first.get_or_insert(out);
-        }
-        first.unwrap_or_else(|| ExecOutcome::error("empty command"))
-    }
-
-    /// `EVAL`/`EVALSHA` against the full stripe set: resolve `EVALSHA` to
-    /// its cached source (any stripe's cache — they are broadcast-identical)
-    /// and interpret with a [`StripedHost`] routing each inner command.
-    fn eval_striped(guards: &mut StripeGuards<'_>, name: &str, args: &[Bytes]) -> ExecOutcome {
-        if args.len() < 3 {
-            return guards.any_engine().execute_single(args); // arity error
-        }
-        let mut eargs = args.to_vec();
-        if name == "EVALSHA" {
-            let sha = eargs
-                .get(1)
-                .map(|b| String::from_utf8_lossy(b).to_ascii_lowercase())
-                .unwrap_or_default();
-            let Some(src) = guards.first_ref().script_source(&sha) else {
-                return ExecOutcome::read(Frame::Error(
-                    "NOSCRIPT No matching script. Please use EVAL.".into(),
-                ));
-            };
-            if let Some(slot) = eargs.get_mut(1) {
-                *slot = src;
-            }
-        }
-        eval_on_host(&mut StripedHost { guards }, &eargs)
-    }
-
     /// Upper bound on any single ticket wait: generous enough that the
     /// pipeline threads always resolve first (the completer enforces
     /// `commit_timeout`), yet finite so a caller can never hang even if
     /// the node died mid-flight.
-    fn ticket_wait_cap(&self) -> Duration {
+    pub(crate) fn ticket_wait_cap(&self) -> Duration {
         self.ctx.cfg.commit_timeout * 2 + Duration::from_secs(1)
-    }
-
-    /// Blocks until the batch's ticket resolves and returns the final
-    /// replies (the blocking half of the submit/finish split).
-    pub fn wait_finish(&self, sb: SubmittedBatch) -> Vec<Frame> {
-        let outcome = sb.ticket.as_ref().map(|t| {
-            t.wait(self.ticket_wait_cap())
-                .unwrap_or(TicketOutcome::TimedOut)
-        });
-        self.finish_batch(sb, outcome)
-    }
-
-    /// Non-blocking finish: the final replies if the batch's ticket has
-    /// resolved, or the batch handed back for re-parking.
-    pub fn try_finish(&self, sb: SubmittedBatch) -> Result<Vec<Frame>, SubmittedBatch> {
-        match &sb.ticket {
-            None => Ok(self.finish_batch(sb, None)),
-            Some(t) => match t.outcome() {
-                Some(o) => Ok(self.finish_batch(sb, Some(o))),
-                None => Err(sb),
-            },
-        }
-    }
-
-    /// Installs or poisons the parked replies according to the ticket's
-    /// outcome — the same reply rules the synchronous path enforced.
-    fn finish_batch(&self, sb: SubmittedBatch, outcome: Option<TicketOutcome>) -> Vec<Frame> {
-        let SubmittedBatch {
-            mut replies,
-            staged_replies,
-            hazard_reads,
-            wait_indices,
-            first_write_index,
-            ticket,
-        } = sb;
-        match outcome {
-            None => {}
-            Some(TicketOutcome::Durable) => {
-                for (i, r) in staged_replies {
-                    if let Some(slot) = replies.get_mut(i) {
-                        *slot = r;
-                    }
-                }
-            }
-            Some(TicketOutcome::Poisoned(e)) => {
-                // The rebuild will discard everything from the first staged
-                // mutation on, and later commands in the batch observed
-                // that state — none of their replies may be released.
-                let first = first_write_index.unwrap_or(replies.len());
-                for reply in replies.iter_mut().skip(first) {
-                    *reply = Frame::Error(
-                        format!("CLUSTERDOWN cannot commit to transaction log ({e}); demoting")
-                            .into(),
-                    );
-                }
-                // Hazard ids are prospective: after a fence another
-                // leader's entry may occupy them, so `is_durable` cannot
-                // vouch for these reads — error them all.
-                for &(i, _) in &hazard_reads {
-                    if let Some(slot) = replies.get_mut(i) {
-                        *slot =
-                            Frame::Error("CLUSTERDOWN timed out waiting for hazard commit".into());
-                    }
-                }
-            }
-            Some(TicketOutcome::TimedOut) => {
-                if let Some(first) = first_write_index {
-                    for reply in replies.iter_mut().skip(first) {
-                        *reply = Frame::Error(
-                            "CLUSTERDOWN write could not be committed durably; demoting".into(),
-                        );
-                    }
-                    // WAIT asks "how many replicas hold this write" — on a
-                    // timeout the count achieved so far IS the answer, not
-                    // an ambiguous-commit error (Redis semantics: WAIT
-                    // returns the replica count reached when its timeout
-                    // expires). Restore those replies after the blanket
-                    // overwrite above.
-                    if !wait_indices.is_empty() {
-                        let acked = ticket
-                            .as_ref()
-                            .map_or(0, |t| self.ctx.log.acked_count(t.last_id()))
-                            as i64;
-                        for &i in &wait_indices {
-                            if i >= first {
-                                if let Some(slot) = replies.get_mut(i) {
-                                    *slot = Frame::Integer(acked);
-                                }
-                            }
-                        }
-                    }
-                }
-                // A timed-out ticket's entries were genuinely appended (it
-                // reached the committed queue), so settling each hazard
-                // against `is_durable` is sound here.
-                self.settle_hazard_reads(&mut replies, &hazard_reads);
-            }
-        }
-        replies
-    }
-
-    /// After a failed batch wait: reads whose individual hazard did commit
-    /// keep their replies; the rest get the single-command timeout error.
-    fn settle_hazard_reads(&self, replies: &mut [Frame], hazard_reads: &[(usize, EntryId)]) {
-        for &(i, h) in hazard_reads {
-            if !self.ctx.log.is_durable(h) {
-                if let Some(slot) = replies.get_mut(i) {
-                    *slot = Frame::Error("CLUSTERDOWN timed out waiting for hazard commit".into());
-                }
-            }
-        }
-    }
-
-    // ---------------------------------------------------------------------
-    // Commit pipeline threads (DESIGN.md §11)
-    // ---------------------------------------------------------------------
-
-    /// Folds one control payload (no tracker entry) into the prospective
-    /// tail and stages it. Caller holds `st` and has already checked
-    /// role / poison / rebuild state.
-    fn stage_control_locked(&self, st: &mut NodeState, payload: Bytes) -> Arc<Ticket> {
-        let id = st.rs.applied.next();
-        fold_appended_payload(&mut st.rs, id, &payload, false);
-        let now_us = self.metrics.now_us();
-        let ticket = Ticket::new(TicketSpec {
-            last_id: id,
-            entries: 1,
-            bytes: payload.len(),
-            epoch: st.rs.epoch,
-            deadline: Instant::now() + self.ctx.cfg.commit_timeout,
-            e2e_start_us: now_us,
-            now_us,
-            attributed: false,
-        });
-        self.pipeline.stage(StagedRun {
-            ticket: Arc::clone(&ticket),
-            payloads: vec![payload],
-            first_id: id,
-            stripe: None,
-        });
-        ticket
-    }
-
-    /// Like [`Node::stage_control_locked`] but for an effects record whose
-    /// dirty keys must be hazard-tracked until commit. `stripe` carries the
-    /// single held stripe (the caller must hold that stripe's guard while
-    /// staging) so the committer's per-stripe fold-order check applies;
-    /// `None` means the caller holds every stripe.
-    fn stage_effects_locked(
-        &self,
-        st: &mut NodeState,
-        payload: Bytes,
-        dirty: &memorydb_engine::DirtySet,
-        stripe: Option<u16>,
-    ) -> Arc<Ticket> {
-        let id = st.rs.applied.next();
-        fold_appended_payload(&mut st.rs, id, &payload, false);
-        st.rs.mark_dirty(dirty);
-        st.tracker.stage(id, dirty);
-        let now_us = self.metrics.now_us();
-        let ticket = Ticket::new(TicketSpec {
-            last_id: id,
-            entries: 1,
-            bytes: payload.len(),
-            epoch: st.rs.epoch,
-            deadline: Instant::now() + self.ctx.cfg.commit_timeout,
-            e2e_start_us: now_us,
-            now_us,
-            attributed: false,
-        });
-        self.pipeline.stage(StagedRun {
-            ticket: Arc::clone(&ticket),
-            payloads: vec![payload],
-            first_id: id,
-            stripe,
-        });
-        ticket
-    }
-
-    /// Committer thread: drains every staged run and performs **one**
-    /// coalesced conditional append per drain, chained after the
-    /// prospective tail of the first run. The conditional-append fencing
-    /// contract is preserved: if another leader slipped an entry in, the
-    /// whole flush conflicts and every staged ticket poisons.
-    ///
-    /// Submitting threads usually beat this thread to the flush (see
-    /// [`Node::try_self_flush`]); it remains the fallback that guarantees
-    /// staged runs never linger when every submitter has parked.
-    fn committer_loop(self: Arc<Node>) {
-        loop {
-            if !self.pipeline.wait_for_staged(Duration::from_millis(50))
-                && !self.alive.load(Ordering::SeqCst)
-            {
-                // Final sweep: flush anything that raced in, then exit.
-                let token = self.flush_token.lock();
-                let rest = self.pipeline.take_staged_now();
-                if rest.is_empty() {
-                    return;
-                }
-                self.flush_runs(rest);
-                drop(token);
-                continue;
-            }
-            let token = self.flush_token.lock();
-            let runs = self.pipeline.take_staged_now();
-            if !runs.is_empty() {
-                self.flush_runs(runs);
-            }
-            drop(token);
-        }
-    }
-
-    /// Group-commit leader election: the submitting thread flushes the
-    /// staged queue itself when no other flush is in progress, sparing the
-    /// committer-thread handoff on the uncontended path (on a small host
-    /// every saved wakeup is throughput). Contended submitters just park on
-    /// their tickets — the current leader's drain or the committer picks
-    /// their runs up. Leadership is a *single* drain pass: looping here
-    /// traps one submitter (in the multiplexed server, an IO thread)
-    /// flushing everyone else's runs while its own connections starve;
-    /// whatever stages mid-flush belongs to the committer thread, which
-    /// `stage()` has already woken. Drain+append stays serialized under
-    /// `flush_token`, so log order still equals fold order.
-    fn try_self_flush(&self) {
-        let Some(token) = self.flush_token.try_lock() else {
-            return;
-        };
-        let runs = self.pipeline.take_staged_now();
-        if !runs.is_empty() {
-            self.flush_runs(runs);
-        }
-        drop(token);
-    }
-
-    /// The adaptive group-commit idle fast path (DESIGN.md §13): the
-    /// pipeline was idle when this connection staged its run, so it appends
-    /// the run itself — no committer wakeup, no try-lock bounce. The
-    /// blocking acquire is safe precisely because the queue was empty at
-    /// staging time: any concurrent token holder is draining at most a
-    /// straggler sweep. BLOCKING: must not be called with a stripe guard or
-    /// `st` held (the analyzer's lock-discipline pass enforces the former).
-    fn flush_inline_idle(&self) {
-        let token = self.flush_token.lock();
-        let runs = self.pipeline.take_staged_now();
-        if !runs.is_empty() {
-            self.flush_runs(runs);
-        }
-        drop(token);
-    }
-
-    /// One coalesced flush of staged runs (committer thread body).
-    fn flush_runs(&self, runs: Vec<StagedRun>) {
-        // Per-stripe fold order: write runs staged from one stripe must
-        // carry strictly ascending first ids — queue order is fold order
-        // restricted to that stripe (the striping invariant DESIGN.md §12
-        // rests on). All-stripe runs (`stripe: None`) serialize globally.
-        debug_assert!(
-            {
-                let mut last: HashMap<u16, u64> = HashMap::new();
-                runs.iter()
-                    .filter(|r| !r.payloads.is_empty())
-                    .all(|r| match r.stripe {
-                        Some(s) => last
-                            .insert(s, r.first_id.0)
-                            .is_none_or(|prev| prev < r.first_id.0),
-                        None => true,
-                    })
-            },
-            "staged runs out of per-stripe fold order"
-        );
-        let mut payloads: Vec<Bytes> = Vec::new();
-        let mut first_id: Option<EntryId> = None;
-        let mut write_runs: u64 = 0;
-        for run in &runs {
-            if !run.payloads.is_empty() {
-                first_id.get_or_insert(run.first_id);
-                write_runs += 1;
-                payloads.extend(run.payloads.iter().cloned());
-            }
-        }
-        // Hazard-only runs have nothing to append; they ride straight to
-        // the committed queue (their hazards were appended by earlier
-        // flushes, or this one).
-        if let Some(first) = first_id {
-            if let Err(e) =
-                self.ctx
-                    .log
-                    .append_batch_after(self.id, EntryId(first.0 - 1), &payloads)
-            {
-                self.poison_pipeline(e.to_string(), runs);
-                return;
-            }
-            self.metrics
-                .record_stage(StageId::CommitFlushEntries, payloads.len() as u64);
-            if write_runs > 1 {
-                // Appends saved vs the one-append-per-batch world.
-                self.metrics
-                    .add(CounterId::AppendsCoalesced, write_runs - 1);
-            }
-        }
-        // Attribution happens at resolve time (the enqueued→appended span
-        // is only meaningful once `note_unlocked` has re-stamped the queue
-        // entry; this flush can race ahead of the client's lock drop).
-        let appended_us = self.metrics.now_us();
-        let mut oldest_enqueued = u64::MAX;
-        for run in &runs {
-            // Release pairs with the completer's Acquire in
-            // record_ticket_spans: a nonzero appended stamp guarantees the
-            // enqueue stamp it is compared against is visible too.
-            run.ticket.appended_us.store(appended_us, Ordering::Release);
-            if run.ticket.attributed && !run.payloads.is_empty() {
-                oldest_enqueued =
-                    oldest_enqueued.min(run.ticket.enqueued_us.load(Ordering::Acquire));
-            }
-        }
-        if first_id.is_some() && oldest_enqueued != u64::MAX {
-            // Realized flush-window width: how long the oldest client run
-            // in this flush sat staged before the append handoff. ~0 on
-            // the idle fast path; widens with coalescing under load.
-            self.metrics.record_stage(
-                StageId::FlushWindow,
-                appended_us.saturating_sub(oldest_enqueued),
-            );
-        }
-        // Anything the log already committed (zero-latency quorums promote
-        // inline during the append) resolves right here, in submission
-        // order, sparing a completer-thread handoff per flush. The rest
-        // waits on the watermark like before.
-        let tail = self.ctx.log.committed_tail();
-        let mut waiting: Vec<Arc<Ticket>> = Vec::new();
-        let mut resolve_now: Vec<Arc<Ticket>> = Vec::new();
-        for run in runs {
-            if run.ticket.last_id() <= tail {
-                resolve_now.push(run.ticket);
-            } else {
-                waiting.push(run.ticket);
-            }
-        }
-        if !resolve_now.is_empty() {
-            let (fenced, epoch) = self.ack_fence(tail);
-            for t in resolve_now {
-                if fenced || t.epoch != epoch {
-                    self.resolve_ticket(&t, TicketOutcome::TimedOut);
-                } else {
-                    self.resolve_ticket(&t, TicketOutcome::Durable);
-                }
-            }
-        }
-        self.pipeline.push_committed(waiting);
-    }
-
-    /// Pipelined-quorum fencing (DESIGN.md §13), read under `st` at every
-    /// watermark advance (the committed tracker advances in the same
-    /// critical section). Returns `(fenced, current_epoch)`: when `fenced`,
-    /// or when a ticket's staged epoch differs from `current_epoch`, the
-    /// ticket must NOT resolve durable — a demoted, poisoned, or rebuilding
-    /// node may no longer ack batches staged under a lease it has lost,
-    /// even if those batches went on to commit. They resolve ambiguous
-    /// (`TimedOut`) instead: the entries really are in the log, but this
-    /// node's parked replies were computed against state the rebuild
-    /// discards.
-    fn ack_fence(&self, tail: EntryId) -> (bool, u64) {
-        let mut st = self.st.lock();
-        st.tracker.advance_committed(tail);
-        (
-            st.state_poisoned || st.rebuilding || st.demote_requested || st.role != Role::Primary,
-            st.rs.epoch,
-        )
-    }
-
-    /// A fenced or partitioned coalesced append: demote, poison the engine
-    /// state (exactly like the synchronous path), and fail every staged
-    /// ticket. The flags are set under `st` *before* draining the queue,
-    /// and staging checks them under `st`, so no run can slip into the
-    /// queue unpoisoned afterwards.
-    fn poison_pipeline(&self, err: String, drained: Vec<StagedRun>) {
-        {
-            let mut st = self.st.lock();
-            st.demote_requested = true;
-            st.state_poisoned = true;
-        }
-        let rest = self.pipeline.take_staged_now();
-        for run in drained.into_iter().chain(rest) {
-            self.resolve_ticket(&run.ticket, TicketOutcome::Poisoned(err.clone()));
-        }
-    }
-
-    /// Resolves a ticket: releases its in-flight window claim, records its
-    /// attribution spans (unless the staging thread has not yet dropped
-    /// its stripe lock(s), in which case it records them), and fires its
-    /// waker. Span recording happens before any waiter can observe the
-    /// outcome, so a released reply never outruns its own metrics.
-    pub(crate) fn resolve_ticket(&self, ticket: &Arc<Ticket>, outcome: TicketOutcome) {
-        let resolved_us = self.metrics.now_us();
-        // Exactly-once window release: resolution paths can race (the
-        // flush leader's inline resolve, the completer's watermark pass,
-        // the poison drain), and `resolve` only dedupes the outcome — a
-        // second caller must not return the window claim again, or the
-        // in-flight accounting undercounts and backpressure opens early.
-        if ticket.begin_release() {
-            self.pipeline.release_window(ticket.entries, ticket.bytes);
-        }
-        ticket.resolve(outcome, |unlocked| {
-            if unlocked && ticket.attributed {
-                self.record_ticket_spans(ticket, resolved_us);
-            }
-        });
-    }
-
-    /// Attribution for one resolved ticket, ending at `end_us`: the
-    /// `commit_queue_wait` span runs from the engine-lock drop to the
-    /// committer's append, `durability` from the append to resolution, and
-    /// `e2e` covers the whole batch. Stamps are clamped so the spans tile
-    /// e2e without overlapping `engine` regardless of which thread won the
-    /// race to record them.
-    fn record_ticket_spans(&self, ticket: &Ticket, end_us: u64) {
-        let appended = ticket.appended_us.load(Ordering::Acquire);
-        if appended != 0 {
-            let enqueued = ticket.enqueued_us.load(Ordering::Acquire);
-            self.metrics
-                .record_stage(StageId::CommitQueueWait, appended.saturating_sub(enqueued));
-            self.metrics.record_stage(
-                StageId::Durability,
-                end_us.saturating_sub(appended.max(enqueued)),
-            );
-        }
-        self.metrics
-            .record_stage(StageId::E2e, end_us.saturating_sub(ticket.e2e_start_us));
-    }
-
-    /// Completer thread: watches the log's commit watermark and resolves
-    /// appended tickets — durable once the watermark passes their last
-    /// entry, timed out past their deadline (which requests demotion,
-    /// matching the synchronous path's ambiguous-commit handling).
-    fn completer_loop(self: Arc<Node>) {
-        loop {
-            let Some((target, deadline)) = self.pipeline.next_wait_target() else {
-                if !self.alive.load(Ordering::SeqCst) {
-                    return;
-                }
-                self.pipeline
-                    .wait_for_committed_work(Duration::from_millis(50));
-                continue;
-            };
-            let slice = deadline
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(50));
-            let tail = self.ctx.log.wait_committed_at_least(target, slice);
-            let (durable, timed_out) = self.pipeline.split_resolved(tail, Instant::now());
-            if !durable.is_empty() {
-                // Re-validate leadership at the watermark advance: batches
-                // pipelined before a demotion may commit after it, and a
-                // fenced node must not release their acks (see `ack_fence`).
-                let (fenced, epoch) = self.ack_fence(tail);
-                for t in &durable {
-                    if fenced || t.epoch != epoch {
-                        self.resolve_ticket(t, TicketOutcome::TimedOut);
-                    } else {
-                        self.resolve_ticket(t, TicketOutcome::Durable);
-                    }
-                }
-            }
-            if !timed_out.is_empty() {
-                self.st.lock().demote_requested = true;
-                for t in &timed_out {
-                    self.resolve_ticket(t, TicketOutcome::TimedOut);
-                }
-            }
-        }
-    }
-
-    /// Builds the `INFO [section]` reply: engine keyspace stats plus the
-    /// node's replication and durability state, and — from the metrics
-    /// registries — a `stats` counter section and a `latencystats` section
-    /// with per-stage latency percentiles (DESIGN.md §10).
-    fn info_reply_locked(
-        &self,
-        guards: &StripeGuards<'_>,
-        st: &NodeState,
-        section: Option<&Bytes>,
-    ) -> Frame {
-        let filter = section.map(|s| String::from_utf8_lossy(s).to_ascii_lowercase());
-        // Bare INFO keeps its historic shape (no stats sections): existing
-        // parsers split on `# ` headers and count sections.
-        let wants = |name: &str, by_default: bool| match filter.as_deref() {
-            None | Some("default") => by_default,
-            Some("all") | Some("everything") => true,
-            Some(f) => f == name,
-        };
-        let role = match st.role {
-            Role::Primary => "master",
-            Role::Replica => "slave",
-        };
-        let lease_remaining_ms = if st.role == Role::Primary {
-            st.lease_valid_until
-                .saturating_duration_since(Instant::now())
-                .as_millis() as i64
-        } else {
-            -1
-        };
-        let mut text = String::new();
-        if wants("server", true) {
-            text.push_str(&format!(
-                "# Server\r\nredis_version:{version}\r\nengine:memorydb-repro\r\nnode_id:{id}\r\nengine_stripes:{stripes}\r\n",
-                version = guards.first_ref().version(),
-                id = self.id,
-                stripes = guards.stripe_count(),
-            ));
-        }
-        if wants("replication", true) {
-            text.push_str(&format!(
-                "# Replication\r\nrole:{role}\r\nleader_epoch:{epoch}\r\nknown_leader:{leader}\r\n\
-                 applied_log_entry:{applied}\r\ncommitted_log_tail:{committed}\r\n\
-                 lease_remaining_ms:{lease_remaining_ms}\r\npending_unacked_keys:{pending}\r\n\
-                 halted:{halted}\r\n",
-                epoch = st.rs.epoch,
-                leader = st
-                    .rs
-                    .leader
-                    .map(|l| l.to_string())
-                    .unwrap_or_else(|| "?".into()),
-                applied = st.rs.applied.0,
-                committed = self.ctx.log.committed_tail().0,
-                pending = st.tracker.pending_keys(),
-                halted = st
-                    .rs
-                    .halted
-                    .as_ref()
-                    .map(|h| h.to_string())
-                    .unwrap_or_else(|| "no".into()),
-            ));
-        }
-        if wants("cluster", true) {
-            text.push_str(&format!(
-                "# Cluster\r\nshard_id:{shard}\r\nowned_slots:{slots}\r\nconnected_replicas:{replicas}\r\n",
-                shard = self.ctx.shard_id,
-                slots = st.rs.owned_slots.len(),
-                replicas = self.ctx.bus.replica_count(self.ctx.shard_id),
-            ));
-        }
-        if wants("keyspace", true) {
-            let keys: usize = guards.dbs().iter().map(|db| db.len()).sum();
-            text.push_str(&format!("# Keyspace\r\ndb0:keys={keys}\r\n"));
-        }
-        if wants("memory", true) {
-            let used: usize = guards.dbs().iter().map(|db| db.used_memory()).sum();
-            text.push_str(&format!("# Memory\r\nused_memory:{used}\r\n"));
-        }
-        if wants("stats", false) {
-            let node = self.metrics.snapshot();
-            let log = self.ctx.log.metrics().snapshot();
-            text.push_str("# Stats\r\n");
-            for (name, v) in &node.counters {
-                text.push_str(&format!("{name}:{v}\r\n"));
-            }
-            for (name, v) in &node.gauges {
-                text.push_str(&format!("{name}:{v}\r\n"));
-            }
-            for (name, v) in &log.counters {
-                text.push_str(&format!("txlog_{name}:{v}\r\n"));
-            }
-            for (name, v) in &log.gauges {
-                text.push_str(&format!("txlog_{name}:{v}\r\n"));
-            }
-        }
-        if wants("latencystats", false) {
-            text.push_str("# Latencystats\r\n");
-            for snap in [self.metrics.snapshot(), self.ctx.log.metrics().snapshot()] {
-                for s in &snap.stages {
-                    if s.count == 0 {
-                        continue;
-                    }
-                    text.push_str(&format!(
-                        "latency_percentiles_usec_{}:p50={},p99={},p99.9={},max={},calls={}\r\n",
-                        s.name, s.p50_us, s.p99_us, s.p999_us, s.max_us, s.count
-                    ));
-                }
-            }
-        }
-        if text.is_empty() {
-            // Unknown section: Redis replies with an empty bulk.
-            return Frame::Bulk(Bytes::new());
-        }
-        Frame::Bulk(Bytes::from(text))
-    }
-
-    /// `SLOWLOG GET [n] | RESET | LEN`, served from the node registry's
-    /// slowlog ring (the engine's SLOWLOG is an empty-shaped fallback).
-    fn slowlog_reply(&self, args: &[Bytes]) -> Frame {
-        let Some(sub) = args.get(1) else {
-            return Frame::error("ERR wrong number of arguments for 'slowlog' command");
-        };
-        match String::from_utf8_lossy(sub).to_ascii_uppercase().as_str() {
-            "GET" => {
-                let n = match args.get(2) {
-                    Some(raw) => match String::from_utf8_lossy(raw).parse::<i64>() {
-                        // Redis: a negative count means "everything".
-                        Ok(v) if v < 0 => usize::MAX,
-                        Ok(v) => v as usize,
-                        Err(_) => {
-                            return Frame::error("ERR value is not an integer or out of range")
-                        }
-                    },
-                    None => 10,
-                };
-                Frame::Array(
-                    self.metrics
-                        .slowlog()
-                        .get(n)
-                        .into_iter()
-                        .map(|e| {
-                            Frame::Array(vec![
-                                Frame::Integer(e.id as i64),
-                                Frame::Integer(e.unix_time_s),
-                                Frame::Integer(e.duration_us as i64),
-                                Frame::Array(
-                                    e.args
-                                        .into_iter()
-                                        .map(|a| Frame::Bulk(Bytes::from(a)))
-                                        .collect(),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                )
-            }
-            "RESET" => {
-                self.metrics.slowlog().reset();
-                Frame::ok()
-            }
-            "LEN" => Frame::Integer(self.metrics.slowlog().len() as i64),
-            other => Frame::error(format!("ERR Unknown SLOWLOG subcommand '{other}'")),
-        }
-    }
-
-    /// `LATENCY HISTOGRAM | RESET`: per-stage latency summaries from both
-    /// the node registry (io/parse/engine/apply/durability/e2e) and the
-    /// shard's transaction-log registry (append/quorum-ack/read stages).
-    /// Only stages with at least one sample are reported.
-    fn latency_reply(&self, args: &[Bytes]) -> Frame {
-        let Some(sub) = args.get(1) else {
-            return Frame::error("ERR wrong number of arguments for 'latency' command");
-        };
-        match String::from_utf8_lossy(sub).to_ascii_uppercase().as_str() {
-            "HISTOGRAM" => {
-                let mut out: Vec<(Frame, Frame)> = Vec::new();
-                for snap in [self.metrics.snapshot(), self.ctx.log.metrics().snapshot()] {
-                    for s in &snap.stages {
-                        if s.count == 0 {
-                            continue;
-                        }
-                        let field = |k: &str, v: u64| {
-                            (
-                                Frame::Bulk(Bytes::from(k.to_string())),
-                                Frame::Integer(v as i64),
-                            )
-                        };
-                        out.push((
-                            Frame::Bulk(Bytes::from(s.name.to_string())),
-                            Frame::Map(vec![
-                                field("calls", s.count),
-                                field("p50_us", s.p50_us),
-                                field("p99_us", s.p99_us),
-                                field("p999_us", s.p999_us),
-                                field("max_us", s.max_us),
-                                field("sum_us", s.sum_us),
-                            ]),
-                        ));
-                    }
-                }
-                Frame::Map(out)
-            }
-            // Stage histograms are cumulative (like Redis's latencystats);
-            // RESET acknowledges with the Redis shape without clearing.
-            "RESET" => Frame::Integer(0),
-            other => Frame::error(format!("ERR Unknown LATENCY subcommand '{other}'")),
-        }
     }
 
     // ---------------------------------------------------------------------
@@ -2050,7 +377,7 @@ impl Node {
         let mut session = SessionState::new();
         for cmd in cmds {
             let name = CmdName::from_arg(cmd.first().map_or(b"".as_slice(), |c| c));
-            let out = self.execute_routed(&mut guards, &mut session, &name, cmd);
+            let out = guards.execute_routed(&mut session, &name, cmd);
             if out.reply.is_error() && !lenient {
                 return Err(format!("effect {cmd:?} failed: {:?}", out.reply));
             }
@@ -2067,7 +394,8 @@ impl Node {
         // Staged on the commit pipeline like any client mutation (a fenced
         // flush poisons the state); the migration controller drains via
         // `max_pending_write` before any ownership transfer.
-        let ticket = self.stage_effects_locked(&mut st, record.encode_framed(), &dirty, None);
+        let ticket =
+            self.stage_internal_locked(&mut st, record.encode_framed(), Some(&dirty), None);
         Ok(ticket.last_id())
     }
 
@@ -2084,7 +412,7 @@ impl Node {
             if st.state_poisoned || st.rebuilding {
                 return Err("uncommitted state pending rebuild".into());
             }
-            let ticket = self.stage_control_locked(&mut st, record.encode_framed());
+            let ticket = self.stage_internal_locked(&mut st, record.encode_framed(), None, None);
             // Mirror the consumer-side semantics locally (primaries do not
             // consume their own log). Optimistic like the fold: a fenced
             // flush poisons the state and the rebuild discards this.
@@ -2440,22 +768,17 @@ impl Node {
         if effects.is_empty() {
             return;
         }
-        let dirty = memorydb_engine::DirtySet::Keys(
-            effects.iter().filter_map(|e| e.get(1).cloned()).collect(),
-        );
+        let dirty = DirtySet::Keys(effects.iter().filter_map(|e| e.get(1).cloned()).collect());
         let record = Record::Effects {
             version: guards.first_ref().version(),
             effects,
         };
-        let stripe = if guards.is_all() {
-            None
-        } else {
-            Some(guards.held_idx() as u16)
-        };
+        let stripe = guards.held_stripe();
         // Fire-and-forget through the commit pipeline: the DELs are hazard-
         // tracked until commit, and a fenced flush poisons the state. Staged
         // while the stripe guard is held, so per-stripe fold order holds.
-        let _ticket = self.stage_effects_locked(&mut st, record.encode_framed(), &dirty, stripe);
+        let _ticket =
+            self.stage_internal_locked(&mut st, record.encode_framed(), Some(&dirty), stripe);
     }
 
     fn primary_step(&self) {
@@ -2502,7 +825,7 @@ impl Node {
                     epoch: st.rs.epoch,
                     lease_ms: cfg.lease.as_millis() as u64,
                 };
-                let ticket = self.stage_control_locked(&mut st, rec.encode_framed());
+                let ticket = self.stage_internal_locked(&mut st, rec.encode_framed(), None, None);
                 st.pending_renewal = Some((ticket, now));
                 st.next_renewal_at = now + cfg.renew_interval;
             }

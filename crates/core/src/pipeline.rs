@@ -3,9 +3,10 @@
 //!
 //! The serving path *stages* encoded mutations under the engine lock —
 //! folding prospective entry ids into the replica state so execution order
-//! equals log order — and enqueues a [`Ticket`], then releases the lock. A
-//! dedicated committer thread drains the staged queue and coalesces runs
-//! from many connections into single conditional `append_batch_after`
+//! equals log order — and enqueues a [`Ticket`], then releases the lock.
+//! Whoever holds the node's flush token (a submitting thread, else the
+//! committer thread — `commit.rs`) drains the staged queue and coalesces
+//! runs from many connections into single conditional `append_batch_after`
 //! calls; a completer thread watches the commit watermark and resolves
 //! tickets in order. Callers (the server's IO threads) park replies against
 //! the ticket instead of blocking in `wait_durable`, so N connections no
@@ -62,16 +63,15 @@ pub struct Ticket {
     pub(crate) bytes: usize,
     /// Ticket must resolve by here (staged time + commit timeout).
     pub(crate) deadline: Instant,
-    /// When the batch entered the pipeline (for e2e attribution).
-    pub(crate) e2e_start_us: u64,
+    /// When the client batch entered the pipeline (for e2e attribution).
+    /// `None` for internal traffic (renewals, expiry, control records),
+    /// which records no per-ticket stages (queue wait, durability, e2e).
+    pub(crate) e2e_start_us: Option<u64>,
     /// Stamped at stage time, overwritten at engine-lock drop so the
     /// `commit_queue_wait` stage starts where the `engine` stage ends.
     pub(crate) enqueued_us: AtomicU64,
     /// Stamped by the committer when the append is accepted.
     pub(crate) appended_us: AtomicU64,
-    /// Client batches record per-ticket stages (queue wait, durability,
-    /// e2e); internal traffic (renewals, expiry, control records) does not.
-    pub(crate) attributed: bool,
     /// Leadership epoch observed when the ticket was staged. The completer
     /// re-validates it at watermark advance: a ticket staged under a lease
     /// this node has since lost must not ack, even if its pipelined batch
@@ -79,14 +79,15 @@ pub struct Ticket {
     pub(crate) epoch: u64,
     /// Exactly-once guard for the ticket's in-flight window claim: the
     /// resolver that wins this CAS releases the window; any later resolver
-    /// (idle-promote vs. flush leader vs. completer races) must not.
+    /// (flush leader's inline resolve vs. completer vs. poison drain races)
+    /// must not.
     released: AtomicBool,
     inner: Mutex<TicketInner>,
     cv: Condvar,
 }
 
-/// Constructor arguments for [`Ticket::new`], named to keep staging sites
-/// readable as the field list grows.
+/// Constructor arguments for [`Ticket::new`], named so the staging site
+/// cannot transpose same-typed fields.
 pub(crate) struct TicketSpec {
     pub last_id: EntryId,
     pub entries: usize,
@@ -94,9 +95,8 @@ pub(crate) struct TicketSpec {
     /// Leadership epoch at staging time (see [`Ticket::epoch`]).
     pub epoch: u64,
     pub deadline: Instant,
-    pub e2e_start_us: u64,
+    pub e2e_start_us: Option<u64>,
     pub now_us: u64,
-    pub attributed: bool,
 }
 
 impl Ticket {
@@ -109,7 +109,6 @@ impl Ticket {
             e2e_start_us: spec.e2e_start_us,
             enqueued_us: AtomicU64::new(spec.now_us),
             appended_us: AtomicU64::new(0),
-            attributed: spec.attributed,
             epoch: spec.epoch,
             released: AtomicBool::new(false),
             inner: Mutex::new(TicketInner {
@@ -245,6 +244,14 @@ struct StagedQueue {
     inflight_bytes: usize,
 }
 
+/// Appended-but-unresolved tickets awaiting the commit watermark.
+struct CommittedQueue {
+    tickets: Vec<Arc<Ticket>>,
+    /// Set once by the exiting completer: nobody watches the watermark any
+    /// more, so later pushes are handed back to the pusher.
+    closed: bool,
+}
+
 /// The shared queues between the serving path, the committer, and the
 /// completer. Lock order: node engine stripes (ascending stripe index,
 /// via `EngineStripes::lock_all`/`lock_one`) < node `st` < `q` < `cq`.
@@ -254,8 +261,7 @@ pub(crate) struct CommitPipeline {
     work_cv: Condvar,
     /// Submitter wakeup: in-flight window shrank.
     window_cv: Condvar,
-    /// Appended-but-unresolved tickets awaiting the commit watermark.
-    cq: Mutex<Vec<Arc<Ticket>>>,
+    cq: Mutex<CommittedQueue>,
     /// Completer wakeup: tickets entered the committed queue.
     done_cv: Condvar,
 }
@@ -270,7 +276,10 @@ impl CommitPipeline {
             }),
             work_cv: Condvar::new(),
             window_cv: Condvar::new(),
-            cq: Mutex::new(Vec::new()),
+            cq: Mutex::new(CommittedQueue {
+                tickets: Vec::new(),
+                closed: false,
+            }),
             done_cv: Condvar::new(),
         }
     }
@@ -307,26 +316,6 @@ impl CommitPipeline {
         self.work_cv.notify_one();
     }
 
-    /// `stage` without the committer wakeup: the idle fast path enqueues
-    /// its own run and flushes it inline on the submitting connection, so
-    /// poking the committer thread awake would only add a futile wakeup.
-    /// The committer's periodic sweep still collects the run if the inline
-    /// flush loses the token race. Same locking contract as `stage`.
-    pub fn stage_quiet(&self, run: StagedRun) {
-        let mut q = self.q.lock();
-        q.inflight_entries += run.ticket.entries;
-        q.inflight_bytes += run.ticket.bytes;
-        q.runs.push_back(run);
-    }
-
-    /// True when nothing is staged and no resolved-window claims are
-    /// outstanding — the adaptive group-commit idle signal. Reads the
-    /// in-flight ticket accounting; never sleeps.
-    pub fn is_idle(&self) -> bool {
-        let q = self.q.lock();
-        q.runs.is_empty() && q.inflight_entries == 0 && q.inflight_bytes == 0
-    }
-
     /// Current in-flight window occupancy (entries, bytes) — regression-test
     /// visibility into the exactly-once release accounting.
     #[cfg(test)]
@@ -352,12 +341,30 @@ impl CommitPipeline {
     }
 
     /// Moves appended tickets to the committed queue for the completer.
-    pub fn push_committed(&self, tickets: Vec<Arc<Ticket>>) {
+    /// Returns them instead when the completer has closed the queue — the
+    /// caller must resolve those itself.
+    #[must_use]
+    pub fn push_committed(&self, tickets: Vec<Arc<Ticket>>) -> Vec<Arc<Ticket>> {
         if tickets.is_empty() {
-            return;
+            return tickets;
         }
-        self.cq.lock().extend(tickets);
+        let mut cq = self.cq.lock();
+        if cq.closed {
+            return tickets;
+        }
+        cq.tickets.extend(tickets);
         self.done_cv.notify_one();
+        Vec::new()
+    }
+
+    /// Completer exit: closes the committed queue and takes whatever is
+    /// still parked on it. Close and every push serialize on the queue
+    /// lock, so each appended ticket is either returned here or handed
+    /// back to its pusher — none is left with nobody to resolve it.
+    pub fn close_committed(&self) -> Vec<Arc<Ticket>> {
+        let mut cq = self.cq.lock();
+        cq.closed = true;
+        std::mem::take(&mut cq.tickets)
     }
 
     /// Completer: the lowest unresolved ticket id and earliest deadline,
@@ -366,15 +373,15 @@ impl CommitPipeline {
     /// both are scans.
     pub fn next_wait_target(&self) -> Option<(EntryId, Instant)> {
         let cq = self.cq.lock();
-        let target = cq.iter().map(|t| t.last_id).min()?;
-        let deadline = cq.iter().map(|t| t.deadline).min()?;
+        let target = cq.tickets.iter().map(|t| t.last_id).min()?;
+        let deadline = cq.tickets.iter().map(|t| t.deadline).min()?;
         Some((target, deadline))
     }
 
     /// Completer: blocks until tickets arrive in the committed queue.
     pub fn wait_for_committed_work(&self, timeout: Duration) {
         let mut cq = self.cq.lock();
-        if cq.is_empty() {
+        if cq.tickets.is_empty() {
             self.done_cv.wait_for(&mut cq, timeout);
         }
     }
@@ -389,7 +396,7 @@ impl CommitPipeline {
         let mut cq = self.cq.lock();
         let mut durable = Vec::new();
         let mut timed_out = Vec::new();
-        cq.retain(|t| {
+        cq.tickets.retain(|t| {
             if t.last_id <= tail {
                 durable.push(Arc::clone(t));
                 false
@@ -434,9 +441,8 @@ mod tests {
             bytes,
             epoch: 1,
             deadline: Instant::now() + Duration::from_secs(5),
-            e2e_start_us: 0,
+            e2e_start_us: Some(0),
             now_us: 0,
-            attributed: true,
         })
     }
 
@@ -498,24 +504,36 @@ mod tests {
     }
 
     #[test]
-    fn idle_signal_tracks_staging_and_release() {
+    fn window_claim_survives_the_drain_until_release() {
         let p = CommitPipeline::new();
-        assert!(p.is_idle());
+        assert_eq!(p.inflight(), (0, 0));
         let t = ticket(1, 2, 20);
-        p.stage_quiet(StagedRun {
+        p.stage(StagedRun {
             ticket: Arc::clone(&t),
             payloads: Vec::new(),
             first_id: EntryId(1),
             stripe: None,
         });
-        assert!(!p.is_idle());
         assert_eq!(p.inflight(), (2, 20));
         let _drained = p.take_staged_now();
         // Window claim survives the drain until the ticket resolves.
-        assert!(!p.is_idle());
+        assert_eq!(p.inflight(), (2, 20));
         p.release_window(t.entries, t.bytes);
-        assert!(p.is_idle());
         assert_eq!(p.inflight(), (0, 0));
+    }
+
+    #[test]
+    fn closed_committed_queue_hands_pushes_back() {
+        let p = CommitPipeline::new();
+        assert!(p.push_committed(vec![ticket(1, 1, 1)]).is_empty());
+        let parked = p.close_committed();
+        assert_eq!(parked.len(), 1);
+        assert!(p.next_wait_target().is_none());
+        // After the close nobody watches the watermark: the pusher keeps
+        // the tickets and must resolve them itself.
+        let back = p.push_committed(vec![ticket(2, 1, 1), ticket(3, 1, 1)]);
+        assert_eq!(back.len(), 2);
+        assert!(p.next_wait_target().is_none());
     }
 
     #[test]
@@ -523,7 +541,9 @@ mod tests {
         let p = CommitPipeline::new();
         let write = ticket(7, 3, 30);
         let hazard = ticket(5, 0, 0);
-        p.push_committed(vec![Arc::clone(&write), Arc::clone(&hazard)]);
+        assert!(p
+            .push_committed(vec![Arc::clone(&write), Arc::clone(&hazard)])
+            .is_empty());
         let (target, _) = p.next_wait_target().expect("queued");
         assert_eq!(target, EntryId(5));
         let (durable, timed_out) = p.split_resolved(EntryId(6), Instant::now());

@@ -294,6 +294,12 @@ impl StripeGuards<'_> {
         self.first_idx
     }
 
+    /// The one held stripe as a staged run's `stripe` tag; `None` when
+    /// every stripe is held.
+    pub fn held_stripe(&self) -> Option<u16> {
+        (!self.all).then_some(self.first_idx as u16)
+    }
+
     /// Some held engine — for stripe-agnostic work (PING, config reads,
     /// version queries). Total: `first` always exists.
     pub fn any_engine(&mut self) -> &mut Engine {

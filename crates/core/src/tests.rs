@@ -1946,7 +1946,7 @@ fn wait_timeout_reports_achieved_count_not_error() {
 }
 
 /// Racing resolutions of one ticket (flush leader inline vs completer vs
-/// idle-promote) must release its in-flight window claim exactly once: a
+/// poison drain) must release its in-flight window claim exactly once: a
 /// double release would under-count the window and let backpressure open
 /// early. Exercised directly by resolving the same ticket twice while a
 /// second batch still holds its claim.
@@ -2310,4 +2310,65 @@ fn dbsize_and_randomkey_striped_match_unstriped() {
     assert_eq!(ps.handle(&mut ss, &cmd(["FLUSHALL"])), Frame::ok());
     assert_eq!(ps.handle(&mut ss, &cmd(["DBSIZE"])), Frame::Integer(0));
     assert_eq!(ps.handle(&mut ss, &cmd(["RANDOMKEY"])), Frame::Null);
+}
+
+/// Teardown must not wait out `commit_timeout`: with a lease renewal
+/// appended but never committable (the log's committer is shut down, as a
+/// harness that stops the log first would leave it), `crash()` resolves the
+/// parked ticket as ambiguous and all three node threads — run loop,
+/// committer, completer — exit within a pipeline slice instead of sleeping
+/// to the ticket's deadline.
+#[test]
+fn crash_with_renewal_in_flight_on_a_stopped_log_exits_promptly() {
+    use std::time::Instant;
+
+    let shard = Shard::bootstrap(
+        0,
+        ShardConfig {
+            lease: Duration::from_secs(2),
+            renew_interval: Duration::from_millis(100),
+            backoff: Duration::from_millis(2250),
+            // Nonzero quorum latency: only the log's committer thread can
+            // commit an append, so stopping it strands the renewal.
+            log: memorydb_txlog::LogConfig::multi_az(),
+            ..ShardConfig::fast()
+        },
+        Arc::new(ObjectStore::new()),
+        Arc::new(ClusterBus::new()),
+        Arc::new(NodeIdGen::new()),
+        vec![(0, 16383)],
+        0,
+    );
+    let primary = shard.wait_for_primary(T).unwrap();
+    let log = &shard.ctx().log;
+    log.shutdown();
+    let staged_by = Instant::now() + T;
+    while primary.pipeline_inflight().0 == 0 {
+        assert!(Instant::now() < staged_by, "no renewal was staged");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(
+        primary.pipeline_inflight().0 > 0 && log.committed_tail() < log.assigned_tail(),
+        "the renewal must be appended and stuck uncommitted"
+    );
+
+    // Each node thread owns one `Arc<Node>`; a thread that has exited has
+    // dropped its clone.
+    let holders = Arc::strong_count(&primary);
+    let crashed_at = Instant::now();
+    primary.crash();
+    while Arc::strong_count(&primary) > holders - 3 {
+        assert!(
+            crashed_at.elapsed() < Duration::from_secs(1),
+            "node threads still running {:?} after crash()",
+            crashed_at.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        primary.pipeline_inflight(),
+        (0, 0),
+        "parked ticket resolved"
+    );
 }

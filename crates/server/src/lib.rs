@@ -6,20 +6,19 @@
 //! (paper §1: "remain fully compatible with Redis").
 //!
 //! Connection handling reproduces MemoryDB's Enhanced-IO shape (§2.1): a
-//! fixed pool of IO threads ([`IoMode::Multiplexed`], the default) owns all
-//! client sockets in non-blocking mode and funnels parsed commands into the
-//! node's single-threaded engine. Each sweep over a connection parses every
-//! complete frame buffered on it and submits the run as ONE
-//! [`memorydb_core::Node::handle_batch_submit`] call — one engine-lock
+//! fixed pool of IO threads (`min(4, cores)`) owns all client sockets in
+//! non-blocking mode and funnels parsed commands into the node's striped
+//! engine. Each sweep over a connection parses every complete frame
+//! buffered on it and submits the run as ONE
+//! [`memorydb_core::Node::handle_batch_submit`] call — one stripe-lock
 //! acquisition per pipeline. Durability is **deferred**: the submit returns
 //! a [`memorydb_core::SubmittedBatch`] holding a commit-pipeline ticket, the
 //! batch is parked on the connection, and the IO thread moves on to sweep
-//! its other sockets instead of blocking inside the node. When the
-//! committer resolves the ticket, a waker message re-arms the IO thread,
-//! which settles parked batches front-to-back (per-connection reply order
-//! is submission order) and coalesces their replies into one socket write.
-//! [`IoMode::ThreadPerConnection`] keeps the classic one-thread-per-socket
-//! baseline for comparison benchmarks; it settles each batch inline.
+//! its other sockets — nothing in this crate ever blocks on durability.
+//! When the commit pipeline resolves the ticket, a waker message re-arms
+//! the IO thread, which settles parked batches front-to-back
+//! (per-connection reply order is submission order) and coalesces their
+//! replies into one socket write.
 //!
 //! Session semantics implemented here (they are connection state, not
 //! engine state): `READONLY`/`READWRITE` opt-in for replica reads (§3.2 —
@@ -32,7 +31,6 @@ use memorydb_core::{Node, SubmittedBatch};
 use memorydb_engine::{command_spec, CmdName, Frame, SessionState};
 use memorydb_metrics::{CounterId, GaugeId, StageId};
 use memorydb_resp::{encode, CommandParse, Decoder};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -40,37 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How connections are mapped onto OS threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoMode {
-    /// A fixed pool of IO threads multiplexes every socket (default).
-    /// Matches the paper's Enhanced-IO model: thread count is bounded by
-    /// the pool size, not the client count.
-    Multiplexed,
-    /// One OS thread per accepted connection. Kept as the baseline the
-    /// throughput benchmark compares against.
-    ThreadPerConnection,
-}
-
-/// Server tuning knobs. `ServerOptions::default()` gives the multiplexed
-/// pool sized to `min(4, available cores)`.
-#[derive(Clone, Copy, Debug)]
-pub struct ServerOptions {
-    pub mode: IoMode,
-    /// IO-thread pool size; `0` means auto (`min(4, cores)`). Ignored in
-    /// thread-per-connection mode.
-    pub io_threads: usize,
-}
-
-impl Default for ServerOptions {
-    fn default() -> ServerOptions {
-        ServerOptions {
-            mode: IoMode::Multiplexed,
-            io_threads: 0,
-        }
-    }
-}
-
+/// IO-thread pool size: one per core, at most four.
 fn auto_io_threads() -> usize {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -92,7 +60,6 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     io_threads: Vec<std::thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 /// What flows over an IO thread's intake channel: new sockets from the
@@ -104,60 +71,36 @@ enum IoMsg {
     Wake,
 }
 
-enum Workers {
-    Multiplexed(Vec<Sender<IoMsg>>),
-    PerConn,
-}
-
 impl Server {
     /// Starts serving `node` on `addr` (use `127.0.0.1:0` for an ephemeral
-    /// port) with the default multiplexed IO pool.
+    /// port) with the multiplexed IO pool.
     pub fn start(node: Arc<Node>, addr: &str) -> std::io::Result<Server> {
-        Server::start_with(node, addr, ServerOptions::default())
-    }
-
-    /// Starts serving with explicit IO options.
-    pub fn start_with(node: Arc<Node>, addr: &str, opts: ServerOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
         let live_conns = Arc::new(AtomicI64::new(0));
 
-        let mut io_threads = Vec::new();
-        let workers = match opts.mode {
-            IoMode::Multiplexed => {
-                let n = if opts.io_threads == 0 {
-                    auto_io_threads()
-                } else {
-                    opts.io_threads
-                };
-                let mut txs = Vec::with_capacity(n);
-                for i in 0..n {
-                    let (tx, rx) = channel::unbounded::<IoMsg>();
-                    // The thread keeps a sender to its own channel: ticket
-                    // wakers clone it to post `IoMsg::Wake`.
-                    let wake_tx = tx.clone();
-                    txs.push(tx);
-                    let node = Arc::clone(&node);
-                    let shutdown = Arc::clone(&shutdown);
-                    let live = Arc::clone(&live_conns);
-                    io_threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("memorydb-io-{i}"))
-                            .spawn(move || io_loop(node, rx, wake_tx, shutdown, live))?,
-                    );
-                }
-                Workers::Multiplexed(txs)
-            }
-            IoMode::ThreadPerConnection => Workers::PerConn,
-        };
-
-        let accept_thread = {
+        let n = auto_io_threads();
+        let mut io_threads = Vec::with_capacity(n);
+        let mut txs = Vec::with_capacity(n);
+        for i in 0..n {
+            let (tx, rx) = channel::unbounded::<IoMsg>();
+            // The thread keeps a sender to its own channel: ticket
+            // wakers clone it to post `IoMsg::Wake`.
+            let wake_tx = tx.clone();
+            txs.push(tx);
             let node = Arc::clone(&node);
             let shutdown = Arc::clone(&shutdown);
-            let conn_threads = Arc::clone(&conn_threads);
+            let live = Arc::clone(&live_conns);
+            io_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("memorydb-io-{i}"))
+                    .spawn(move || io_loop(node, rx, wake_tx, shutdown, live))?,
+            );
+        }
+
+        let accept_thread = {
+            let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("memorydb-accept".into())
                 .spawn(move || {
@@ -165,43 +108,13 @@ impl Server {
                     // throwaway self-connection (no sleep/poll loop).
                     let mut next = 0usize;
                     loop {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if shutdown.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                match &workers {
-                                    Workers::Multiplexed(txs) => {
-                                        let _ = txs[next % txs.len()].send(IoMsg::Conn(stream));
-                                        next += 1;
-                                    }
-                                    Workers::PerConn => {
-                                        let node = Arc::clone(&node);
-                                        let shutdown = Arc::clone(&shutdown);
-                                        let live = Arc::clone(&live_conns);
-                                        let spawned = std::thread::Builder::new()
-                                            .name("memorydb-conn".into())
-                                            .spawn(move || {
-                                                node.metrics().incr(CounterId::ConnectionsAccepted);
-                                                track_clients(&node, &live, 1);
-                                                let _ = serve_blocking(
-                                                    stream,
-                                                    Arc::clone(&node),
-                                                    shutdown,
-                                                );
-                                                track_clients(&node, &live, -1);
-                                            });
-                                        if let Ok(h) = spawned {
-                                            conn_threads.lock().push(h);
-                                        }
-                                    }
-                                }
-                            }
-                            Err(_) => {
-                                if shutdown.load(Ordering::Acquire) {
-                                    return;
-                                }
-                            }
+                        let accepted = listener.accept();
+                        if shutdown.load(Ordering::Acquire) {
+                            return;
+                        }
+                        if let Ok((stream, _)) = accepted {
+                            let _ = txs[next % txs.len()].send(IoMsg::Conn(stream));
+                            next += 1;
                         }
                     }
                 })?
@@ -212,12 +125,11 @@ impl Server {
             shutdown,
             accept_thread: Some(accept_thread),
             io_threads,
-            conn_threads,
         })
     }
 
-    /// Stops the server: wakes the acceptor, then joins the accept thread,
-    /// every IO thread, and any per-connection threads.
+    /// Stops the server: wakes the acceptor, then joins the accept thread
+    /// and every IO thread.
     pub fn stop(&mut self) {
         // Release pairs with the IO/accept loops' Acquire loads: all
         // stop-time state written before the flag is visible to them.
@@ -230,10 +142,6 @@ impl Server {
         for t in self.io_threads.drain(..) {
             let _ = t.join();
         }
-        let handles: Vec<_> = self.conn_threads.lock().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
-        }
     }
 }
 
@@ -244,7 +152,7 @@ impl Drop for Server {
 }
 
 // ---------------------------------------------------------------------------
-// Command parsing and batch execution (shared by both IO modes)
+// Command parsing and batch execution
 // ---------------------------------------------------------------------------
 
 /// Max commands executed per engine batch: bounds the time one connection
@@ -350,23 +258,12 @@ const POOL_CAP: usize = 16;
 /// High-water mark for a pooled/retained IO buffer (64 KB). A buffer that
 /// grew past this during a burst is released once it drains instead of
 /// pinning megabytes for the rest of the connection's (or pool's) life.
-/// Env-tunable for experiments: `MEMORYDB_BUF_HIGH_WATER` (bytes).
 const BUF_HIGH_WATER: usize = 64 * 1024;
-
-fn buf_high_water() -> usize {
-    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HW.get_or_init(|| {
-        std::env::var("MEMORYDB_BUF_HIGH_WATER")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(BUF_HIGH_WATER)
-    })
-}
 
 /// An IO thread's free-list of connection buffers. New connections draw
 /// their input/output buffers here so short-lived connections in a churn
 /// burst don't each pay two fresh heap growth curves; drained buffers come
-/// back on close. Oversized buffers (over [`buf_high_water`]) never enter
+/// back on close. Oversized buffers (over [`BUF_HIGH_WATER`]) never enter
 /// the pool — that is the anti-bloat half of the policy.
 #[derive(Default)]
 struct BufPool {
@@ -380,21 +277,20 @@ impl BufPool {
 
     fn put(&mut self, mut b: BytesMut) {
         b.clear();
-        if b.capacity() <= buf_high_water() && self.free.len() < POOL_CAP {
+        if b.capacity() <= BUF_HIGH_WATER && self.free.len() < POOL_CAP {
             self.free.push(b);
         }
     }
 }
 
-/// Per-connection protocol state, independent of the IO mode driving it.
+/// Per-connection protocol state.
 struct ConnState {
     raw: BytesMut,
     out: BytesMut,
     session: SessionState,
     readonly_mode: bool,
     /// Batches submitted to the engine whose replies have not been released
-    /// yet, in submission order. Only the multiplexed path parks; the
-    /// blocking path settles inline so this stays empty there.
+    /// yet, in submission order.
     parked: VecDeque<ParkedBatch>,
     /// Set on QUIT or protocol error: settle `parked`, flush `out`, close.
     closing: bool,
@@ -411,10 +307,11 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new() -> ConnState {
+    /// Draws the IO buffers from the owning IO thread's pool.
+    fn new(pool: &mut BufPool) -> ConnState {
         ConnState {
-            raw: BytesMut::new(),
-            out: BytesMut::new(),
+            raw: pool.get(),
+            out: pool.get(),
             session: SessionState::new(),
             readonly_mode: false,
             parked: VecDeque::new(),
@@ -425,25 +322,16 @@ impl ConnState {
         }
     }
 
-    /// Draws the IO buffers from an IO thread's pool instead of allocating.
-    fn new_pooled(pool: &mut BufPool) -> ConnState {
-        let mut c = ConnState::new();
-        c.raw = pool.get();
-        c.out = pool.get();
-        c
-    }
-
     /// Anti-bloat sweep, run when the connection goes idle: a pipelined
     /// burst can balloon `raw`/`out` far past steady state, and without
     /// this the capacity stays resident until the client disconnects. Any
     /// drained buffer over the high-water mark is swapped for a pooled one
     /// and its allocation dropped.
     fn shed_oversized(&mut self, pool: &mut BufPool) {
-        let hw = buf_high_water();
-        if self.raw.is_empty() && self.raw.capacity() > hw {
+        if self.raw.is_empty() && self.raw.capacity() > BUF_HIGH_WATER {
             self.raw = pool.get();
         }
-        if self.out.is_empty() && self.out.capacity() > hw {
+        if self.out.is_empty() && self.out.capacity() > BUF_HIGH_WATER {
             self.out = pool.get();
         }
     }
@@ -470,14 +358,13 @@ fn emit_frame(conn: &mut ConnState, f: Frame) {
 }
 
 /// Parses every complete command buffered on the connection and submits
-/// them in engine batches. With `wake_tx` (the multiplexed path) each batch
-/// is parked on the connection and a waker is armed on its pending
-/// tickets; without it (the blocking path) each batch settles inline into
-/// `conn.out`.
+/// them in engine batches. Each batch is parked on the connection with a
+/// waker armed on its pending tickets, so the owning IO thread re-sweeps as
+/// soon as one resolves.
 ///
 /// A protocol error mid-stream still submits everything parsed before it,
 /// then emits the error reply and marks the connection closing.
-fn drain_commands(node: &Node, conn: &mut ConnState, wake_tx: Option<&Sender<IoMsg>>) {
+fn drain_commands(node: &Node, conn: &mut ConnState, wake_tx: &Sender<IoMsg>) {
     let m = node.metrics();
     // The outer command vector is recycled across drains (and across
     // connections' lifetimes) via `cmd_scratch`, so steady-state parsing
@@ -502,24 +389,15 @@ fn drain_commands(node: &Node, conn: &mut ConnState, wake_tx: Option<&Sender<IoM
         }
         if !cmds.is_empty() {
             let batch = submit_batch(node, conn, &cmds);
-            match wake_tx {
-                None => {
-                    let (r, w) = settle_batch(node, batch, &mut conn.out);
-                    conn.spare_replies = r;
-                    conn.spare_waits = w;
-                }
-                Some(tx) => {
-                    for (_, sb) in &batch.waits {
-                        if !sb.is_complete() {
-                            let tx = tx.clone();
-                            sb.set_waker(Box::new(move || {
-                                let _ = tx.send(IoMsg::Wake);
-                            }));
-                        }
-                    }
-                    conn.parked.push_back(batch);
+            for (_, sb) in &batch.waits {
+                if !sb.is_complete() {
+                    let tx = wake_tx.clone();
+                    sb.set_waker(Box::new(move || {
+                        let _ = tx.send(IoMsg::Wake);
+                    }));
                 }
             }
+            conn.parked.push_back(batch);
         }
         if let Some(e) = parse_err {
             m.incr(CounterId::ProtocolErrors);
@@ -627,36 +505,33 @@ fn submit_batch(node: &Node, conn: &mut ConnState, cmds: &[Vec<Bytes>]) -> Parke
     ParkedBatch { replies, waits }
 }
 
-/// Resolves every pending run of `batch` (blocking until its tickets
-/// settle — instant when [`ParkedBatch::is_complete`] was already true),
-/// fills the reply slots, and encodes every reply **directly** into the
-/// connection's output buffer — no intermediate scratch buffer and no
-/// second copy of the encoded bytes.
-/// Returns the two emptied vectors so the caller can hand them back to
-/// the connection's spares for the next batch (capacity recycling).
-#[allow(clippy::type_complexity)]
-fn settle_batch(
-    node: &Node,
-    batch: ParkedBatch,
-    out: &mut BytesMut,
-) -> (
-    Vec<Option<Frame>>,
-    Vec<(std::ops::Range<usize>, SubmittedBatch)>,
-) {
+/// Finishes every run of a batch whose tickets have all resolved (the caller
+/// checked [`ParkedBatch::is_complete`], and a resolved ticket stays
+/// resolved, so nothing here waits), fills the reply slots, and encodes
+/// every reply **directly** into the connection's output buffer — no
+/// intermediate scratch buffer and no second copy of the encoded bytes.
+/// The two emptied vectors go back to the connection's spares for the next
+/// batch (capacity recycling).
+fn settle_batch(node: &Node, batch: ParkedBatch, conn: &mut ConnState) {
     let ParkedBatch {
         mut replies,
         mut waits,
     } = batch;
     for (run, sb) in waits.drain(..) {
-        let rs = node.wait_finish(sb);
+        // `Err` is unreachable behind the `is_complete` gate; it still gets
+        // one reply per command, so the stream can never desynchronise.
+        let rs = node.try_finish(sb).unwrap_or_else(|_| {
+            vec![Frame::error("ERR internal: reply settled before commit"); run.len()]
+        });
         for (i, r) in run.zip(rs) {
             replies[i] = Some(r);
         }
     }
     for r in replies.drain(..).flatten() {
-        encode(&r, out);
+        encode(&r, &mut conn.out);
     }
-    (replies, waits)
+    conn.spare_replies = replies;
+    conn.spare_waits = waits;
 }
 
 /// Settles parked batches front-to-back, stopping at the first batch whose
@@ -667,9 +542,7 @@ fn drain_parked(node: &Node, conn: &mut ConnState) -> bool {
     let mut progressed = false;
     while conn.parked.front().is_some_and(ParkedBatch::is_complete) {
         if let Some(batch) = conn.parked.pop_front() {
-            let (r, w) = settle_batch(node, batch, &mut conn.out);
-            conn.spare_replies = r;
-            conn.spare_waits = w;
+            settle_batch(node, batch, conn);
             progressed = true;
         }
     }
@@ -677,7 +550,7 @@ fn drain_parked(node: &Node, conn: &mut ConnState) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Multiplexed IO loop
+// IO loop
 // ---------------------------------------------------------------------------
 
 struct Conn {
@@ -779,7 +652,7 @@ fn sweep_conn(
             // not time spent waiting for the client to type.
             m.record_stage(StageId::IoRead, m.now_us().saturating_sub(read_start));
             progressed = true;
-            drain_commands(node, &mut conn.state, Some(wake_tx));
+            drain_commands(node, &mut conn.state, wake_tx);
             drain_parked(node, &mut conn.state);
             if flush_out(&mut conn.stream, &mut conn.state.out, m).is_err() {
                 return (false, true);
@@ -791,7 +664,7 @@ fn sweep_conn(
         // Client sent FIN: answer whatever it managed to buffer, then drop
         // once every parked reply has settled and flushed.
         if !conn.state.raw.is_empty() && !conn.state.closing {
-            drain_commands(node, &mut conn.state, Some(wake_tx));
+            drain_commands(node, &mut conn.state, wake_tx);
         }
         drain_parked(node, &mut conn.state);
         if flush_out(&mut conn.stream, &mut conn.state.out, m).is_err() {
@@ -834,7 +707,7 @@ fn io_loop(
             track_clients(&node, &live, 1);
             conns.push(Conn {
                 stream,
-                state: ConnState::new_pooled(pool),
+                state: ConnState::new(pool),
                 eof: false,
             });
         }
@@ -913,52 +786,6 @@ fn io_loop(
             }
         } else {
             std::thread::sleep(nap);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-per-connection baseline
-// ---------------------------------------------------------------------------
-
-/// Classic blocking loop, one thread per socket. Shares the batch parser and
-/// executor with the multiplexed path, so the only variable the benchmark
-/// sees is the threading model.
-fn serve_blocking(
-    mut stream: TcpStream,
-    node: Arc<Node>,
-    shutdown: Arc<AtomicBool>,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    stream.set_nodelay(true)?;
-    let mut conn = ConnState::new();
-    let mut buf = [0u8; 16 * 1024];
-
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let n = match stream.read(&mut buf) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        conn.raw.extend_from_slice(&buf[..n]);
-        drain_commands(&node, &mut conn, None);
-        if !conn.out.is_empty() {
-            // No IoRead sample here: the blocking read above waits on the
-            // client, which would attribute client think time to the server.
-            let m = node.metrics();
-            let write_start = m.now_us();
-            stream.write_all(&conn.out)?;
-            m.record_stage(StageId::IoWrite, m.now_us().saturating_sub(write_start));
-            conn.out.clear();
-        }
-        if conn.closing {
-            return Ok(());
         }
     }
 }

@@ -232,30 +232,6 @@ fn multiplexing_does_not_spawn_thread_per_connection() {
 }
 
 #[test]
-fn thread_per_connection_mode_still_serves() {
-    let shard = test_shard(0);
-    let primary = shard.wait_for_primary(Duration::from_secs(5)).unwrap();
-    let mut server = Server::start_with(
-        primary,
-        "127.0.0.1:0",
-        ServerOptions {
-            mode: IoMode::ThreadPerConnection,
-            io_threads: 0,
-        },
-    )
-    .unwrap();
-    let mut client = BlockingClient::connect(server.local_addr).unwrap();
-    assert_eq!(client.command(["SET", "k", "v"]).unwrap(), Frame::ok());
-    let replies = client
-        .pipeline(vec![vec!["GET", "k"], vec!["DBSIZE"]])
-        .unwrap();
-    assert_eq!(replies, vec![bulk("v"), Frame::Integer(1)]);
-    drop(client);
-    // stop() joins the per-connection threads too.
-    server.stop();
-}
-
-#[test]
 fn stop_joins_io_threads_and_refuses_new_connections() {
     let (mut server, _shard) = test_server(0);
     let addr = server.local_addr;
@@ -676,12 +652,12 @@ fn next_command_errors_identically_chunked_and_whole() {
 /// must never adopt an oversized buffer either.
 #[test]
 fn oversized_idle_buffers_are_shed_and_never_pooled() {
-    let hw = buf_high_water();
+    let hw = BUF_HIGH_WATER;
     let mut pool = BufPool::default();
 
     // Balloon both connection buffers past the high-water mark, then
     // drain them (the idle state after a burst).
-    let mut conn = ConnState::new();
+    let mut conn = ConnState::new(&mut pool);
     conn.raw.extend_from_slice(&vec![0u8; hw + 1]);
     conn.raw.clear();
     conn.out.extend_from_slice(&vec![0u8; hw + 1]);
@@ -702,7 +678,7 @@ fn oversized_idle_buffers_are_shed_and_never_pooled() {
 
     // A buffer still holding bytes is NOT shed: shedding it would drop
     // undelivered data.
-    let mut busy = ConnState::new();
+    let mut busy = ConnState::new(&mut pool);
     busy.raw.extend_from_slice(&vec![0u8; hw + 1]);
     let before = busy.raw.capacity();
     busy.shed_oversized(&mut pool);
@@ -732,4 +708,99 @@ fn oversized_idle_buffers_are_shed_and_never_pooled() {
         pool.put(b);
     }
     assert_eq!(pool.free.len(), POOL_CAP);
+}
+
+/// Standing liveness smoke for hazard reads across connections: every
+/// connection keeps overwriting its own key and reading its neighbour's,
+/// so reads constantly land on keys with an unacknowledged write from
+/// another connection and must park on that write's commit. Shapes per
+/// round: a lone `SET mine`, a lone `GET other`, a pipelined
+/// `[GET other, SET mine, GET other]`, and a depth-8 alternating pipeline
+/// whose bytes arrive split mid-frame across two socket writes. Any error
+/// reply fails the run, and so does any reply that takes longer than the
+/// client's 10 s read timeout — a wedged connection.
+fn cross_connection_hazard_reads(log: memorydb_txlog::LogConfig, conns: usize) {
+    const ROUNDS: usize = 150;
+    let shard = Shard::bootstrap(
+        0,
+        ShardConfig {
+            lease: Duration::from_secs(2),
+            renew_interval: Duration::from_millis(400),
+            backoff: Duration::from_millis(2250),
+            log,
+            ..ShardConfig::fast()
+        },
+        Arc::new(ObjectStore::new()),
+        Arc::new(ClusterBus::new()),
+        Arc::new(NodeIdGen::new()),
+        vec![(0, 16383)],
+        0,
+    );
+    let primary = shard.wait_for_primary(Duration::from_secs(10)).unwrap();
+    let server = Server::start(primary, "127.0.0.1:0").unwrap();
+    let addr = server.local_addr;
+    let start = Arc::new(std::sync::Barrier::new(conns));
+
+    let workers: Vec<_> = (0..conns)
+        .map(|me| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut c = BlockingClient::connect(addr).unwrap();
+                let mine = format!("k{me}");
+                let other = format!("k{}", (me + 1) % conns);
+                let (mine, other) = (mine.as_str(), other.as_str());
+                let served = |what: &str, r: Frame| {
+                    assert!(!r.is_error(), "conn {me} {what}: {r:?}");
+                };
+                start.wait();
+                for round in 0..ROUNDS {
+                    let v = round.to_string();
+                    let v = v.as_str();
+                    served("SET", c.command(["SET", mine, v]).expect("SET reply"));
+                    served("GET", c.command(["GET", other]).expect("GET reply"));
+                    let mixed = c
+                        .pipeline([vec!["GET", other], vec!["SET", mine, v], vec!["GET", other]])
+                        .expect("mixed pipeline replies");
+                    assert_eq!(mixed.len(), 3);
+                    for r in mixed {
+                        served("mixed pipeline", r);
+                    }
+
+                    let mut out = BytesMut::new();
+                    for j in 0..8 {
+                        let parts: &[&str] = if j % 2 == 0 {
+                            &["SET", mine, v]
+                        } else {
+                            &["GET", other]
+                        };
+                        let owned = parts.iter().map(|p| p.as_bytes().to_vec());
+                        encode(&Frame::command(owned), &mut out);
+                    }
+                    let cut = out.len() / 2 + 1;
+                    c.stream.write_all(&out[..cut]).unwrap();
+                    c.stream.write_all(&out[cut..]).unwrap();
+                    for _ in 0..8 {
+                        served("split pipeline", c.read_reply().expect("split reply"));
+                    }
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("hazard-read worker");
+    }
+}
+
+#[test]
+fn cross_connection_hazard_reads_on_the_instant_log() {
+    for conns in [2, 4] {
+        cross_connection_hazard_reads(memorydb_txlog::LogConfig::instant(), conns);
+    }
+}
+
+#[test]
+fn cross_connection_hazard_reads_on_the_multi_az_log() {
+    for conns in [2, 4] {
+        cross_connection_hazard_reads(memorydb_txlog::LogConfig::multi_az(), conns);
+    }
 }

@@ -9,21 +9,23 @@
 #             baseline, no stale entries
 #   test    — the full tier-1 suite (includes tests/analysis.rs, which
 #             re-runs the analyzer, and the chaos smoke schedules)
+#   ledger  — the perf ledger's own tests. `ledger/` is a workspace of its
+#             own, so `--workspace` never compiles it; this step is what
+#             catches an API break in core/server that the benchmark
+#             would otherwise meet first.
 #   metrics — tcp_throughput --smoke (§10 observability + §12 striping):
 #             per-stage latency attribution must sample every declared
 #             stage, the stage sums must be consistent with the e2e span,
 #             the commit pipeline must show cross-connection coalescing at
-#             K>=8 (append calls < dispatched batches), and at K>=8
-#             multiplexed the 16-stripe engine must beat the 1-stripe
-#             baseline by >=1.5x ops/s (skipped on hosts with <4 cores,
-#             where stripes only time-share one CPU); the binary exits
-#             nonzero otherwise. Opt in with --metrics-smoke (it costs a
-#             few seconds of closed-loop TCP load). Also runs
-#             log_latency --smoke (§13 adaptive group commit): at K=1 the
-#             idle fast path must append exactly once per command and —
-#             on hosts with >=4 cores — beat the committer-handoff
-#             baseline on mean commit latency; the smoke rows land in
-#             BENCH_log_latency.json. Also runs restore_mttr --smoke
+#             K>=8 (append calls < dispatched batches), and at K>=8 the
+#             16-stripe engine must beat the 1-stripe baseline by >=1.5x
+#             ops/s (skipped on hosts with <4 cores, where stripes only
+#             time-share one CPU); the binary exits nonzero otherwise.
+#             Opt in with --metrics-smoke (it costs a few seconds of
+#             closed-loop TCP load). Also runs log_latency --smoke (§13
+#             group commit): at K=1 every command must append exactly
+#             once; the smoke rows land in BENCH_log_latency.json. Also
+#             runs restore_mttr --smoke
 #             (§4.2 + DESIGN.md §14 incremental snapshots / parallel
 #             restore): every row must restore a complete image at both
 #             worker counts, and on hosts with >=4 cores the parallel
@@ -94,6 +96,7 @@ run cargo fmt --check
 run cargo clippy --workspace --all-targets "${CARGO_FLAGS[@]}" -- -D warnings
 run cargo run -q -p memorydb-analysis "${CARGO_FLAGS[@]}"
 run cargo test -q --workspace "${CARGO_FLAGS[@]}"
+run cargo test -q --manifest-path ledger/Cargo.toml "${CARGO_FLAGS[@]}"
 if [[ "$METRICS_SMOKE" == "1" ]]; then
   run cargo run -q --release -p memorydb-bench "${CARGO_FLAGS[@]}" --bin tcp_throughput -- --smoke
   run cargo run -q --release -p memorydb-bench "${CARGO_FLAGS[@]}" --bin log_latency -- --smoke
