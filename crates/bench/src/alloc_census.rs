@@ -1,4 +1,5 @@
-//! Allocation census over the K=1 multiplexed GET/SET hot path.
+//! Allocation census over the K=1 multiplexed GET/SET hot path, plus one
+//! row for the restore path (allocations per restored key).
 //!
 //! BtrLog's low-concurrency thesis applies to the wire path too: at
 //! pipeline depth 1 there is no batching to amortize anything, so
@@ -12,10 +13,18 @@
 //! by the `alloc_census` binary) is dominated by the serve path under
 //! test: socket sweep → decode → submit → execute → stage → encode.
 //!
+//! The `restore_16chunk` row counts one sequential `restore_replica_opts`
+//! over a 16-chunk image of [`RESTORE_KEYS`] keys, per key: a restore that
+//! indexes every key once pays for the key, the value and amortised table
+//! growth — every extra pass over the keyspace shows up as whole
+//! allocations per key, on any number of cores.
+//!
 //! There is deliberately **no core-count skip-guard** anywhere in this
 //! module: this gate always runs.
 
-use memorydb_core::{ClusterBus, NodeIdGen, Shard, ShardConfig};
+use memorydb_core::restore::{restore_replica_opts, ReplayTarget, RestoreOptions};
+use memorydb_core::{ClusterBus, Node, NodeIdGen, OffboxSnapshotter, Shard, ShardConfig};
+use memorydb_engine::{cmd, EngineVersion, Frame, SessionState};
 use memorydb_metrics::alloc_counts;
 use memorydb_objectstore::ObjectStore;
 use memorydb_server::Server;
@@ -38,14 +47,27 @@ pub struct AllocRow {
 /// decode, per-batch `cmds[i].clone()`, `String` reply frames): the
 /// numbers the ≥50%-fewer-allocations acceptance bar is judged against.
 /// `(workload, allocs_per_cmd, bytes_per_cmd)`.
-pub const BASELINE: &[(&str, f64, f64)] = &[("set_k1", 52.17, 4626.7), ("get_k1", 26.00, 1670.1)];
+///
+/// `restore_16chunk` was measured the same way at the parent commit of the
+/// build-the-keyspace-once PR (per-chunk `Db` → merge → split → absorb,
+/// each pass re-inserting every key into five hash tables).
+pub const BASELINE: &[(&str, f64, f64)] = &[
+    ("set_k1", 52.17, 4626.7),
+    ("get_k1", 26.00, 1670.1),
+    ("restore_16chunk", 5.16, 2353.0),
+];
 
 /// Pinned absolute budgets for the smoke gate, `(workload,
 /// allocs_per_cmd)`. Set just above the measured post-PR steady state
-/// (25.11 / 7.00 on this box): allocation counts are count-based, not
-/// time-based, so they barely jitter, and one new allocation per command
-/// is a >3% move that must fail the gate.
-pub const ALLOC_BUDGET: &[(&str, f64)] = &[("set_k1", 26.0), ("get_k1", 9.0)];
+/// (25.11 / 7.00 on this box, and 2.00 per restored key — the key and the
+/// value): allocation counts are count-based, not time-based, so they
+/// barely jitter, and one new allocation per command is a >3% move that
+/// must fail the gate.
+pub const ALLOC_BUDGET: &[(&str, f64)] =
+    &[("set_k1", 26.0), ("get_k1", 9.0), ("restore_16chunk", 2.25)];
+
+/// Keys in the image the `restore_16chunk` row restores.
+pub const RESTORE_KEYS: u64 = 20_000;
 
 /// Encodes one RESP command as wire bytes (flat array of bulk strings).
 fn wire(parts: &[&[u8]]) -> Vec<u8> {
@@ -86,8 +108,43 @@ fn phase(stream: &mut TcpStream, req: &[u8], expect: &[u8], commands: u64) -> (f
 const WARMUP: u64 = 500;
 const VALUE: &[u8] = b"xxxxxxxxxxxxxxxx"; // 16B, matching the smoke sweep
 
+/// Loads [`RESTORE_KEYS`] keys through the primary, cuts one full off-box
+/// snapshot (16 chunks, log trimmed) and counts the allocations of one
+/// sequential restore from it, per key.
+fn restore_phase(shard: &Shard, primary: &Node) -> (f64, f64) {
+    let mut session = SessionState::new();
+    for i in 0..RESTORE_KEYS {
+        let reply = primary.handle(&mut session, &cmd(["SET", &format!("key:{i:08}"), "value"]));
+        assert_eq!(reply, Frame::ok(), "census load SET failed");
+    }
+    let ctx = shard.ctx();
+    OffboxSnapshotter::new(Arc::clone(ctx), EngineVersion::CURRENT, 40_001)
+        .create_snapshot(true)
+        .expect("census snapshot must succeed");
+    let tail = ctx.log.committed_tail();
+    let before = alloc_counts();
+    let rp = restore_replica_opts(
+        &ctx.store,
+        &ctx.log,
+        70_001,
+        &ctx.name,
+        EngineVersion::CURRENT,
+        ReplayTarget::Exactly(tail),
+        RestoreOptions { workers: 1 },
+    )
+    .expect("census restore must succeed");
+    let d = alloc_counts().since(before);
+    // The GET/SET phases left their one key behind.
+    assert_eq!(rp.engine.db.len() as u64, RESTORE_KEYS + 1);
+    (
+        d.calls as f64 / RESTORE_KEYS as f64,
+        d.bytes as f64 / RESTORE_KEYS as f64,
+    )
+}
+
 /// Runs the census: a fresh 1-node shard + multiplexed server, one K=1
-/// connection, `commands` SETs then `commands` GETs of one 16-byte value.
+/// connection, `commands` SETs then `commands` GETs of one 16-byte value,
+/// then the restore row.
 pub fn run(commands: u64) -> Vec<AllocRow> {
     let lease = Duration::from_secs(5);
     let shard = Shard::bootstrap(
@@ -127,6 +184,7 @@ pub fn run(commands: u64) -> Vec<AllocRow> {
 
     drop(stream);
     server.stop();
+    let (restore_allocs, restore_bytes) = restore_phase(&shard, &primary);
 
     vec![
         AllocRow {
@@ -140,6 +198,12 @@ pub fn run(commands: u64) -> Vec<AllocRow> {
             commands,
             allocs_per_cmd: get_allocs,
             bytes_per_cmd: get_bytes,
+        },
+        AllocRow {
+            workload: "restore_16chunk",
+            commands: RESTORE_KEYS,
+            allocs_per_cmd: restore_allocs,
+            bytes_per_cmd: restore_bytes,
         },
     ]
 }
@@ -190,9 +254,11 @@ pub fn to_json(rows: &[AllocRow]) -> String {
     s.push_str("{\n  \"bench\": \"alloc_census\",\n");
     s.push_str(
         "  \"note\": \"K=1 multiplexed GET/SET over loopback TCP, pre-encoded \
-         requests + read_exact replies (client side allocation-free); counters \
-         from memorydb_metrics::CountingAlloc as #[global_allocator]; gate runs \
-         on 1 core, no skip-guard\",\n",
+         requests + read_exact replies (client side allocation-free); \
+         restore_16chunk = one sequential restore_replica_opts over a 20K-key \
+         16-chunk image, per restored key; counters from \
+         memorydb_metrics::CountingAlloc as #[global_allocator]; gate runs on \
+         1 core, no skip-guard\",\n",
     );
     s.push_str("  \"rows\": [\n");
     let mut lines = Vec::new();

@@ -2,7 +2,8 @@
 //!
 //! Registers [`memorydb_metrics::CountingAlloc`] as the global allocator
 //! and measures allocations-per-command and bytes-per-command on the K=1
-//! multiplexed GET/SET path over real loopback TCP. Usage:
+//! multiplexed GET/SET path over real loopback TCP, plus allocations per
+//! restored key of one sequential 16-chunk restore (DESIGN.md §14). Usage:
 //!
 //! ```text
 //! alloc_census [--smoke] [--commands N] [--json PATH]
@@ -72,8 +73,8 @@ fn main() {
         ]);
     }
     println!(
-        "Allocation census — K=1 multiplexed GET/SET, {commands} commands/phase \
-         (counting global allocator)"
+        "Allocation census — K=1 multiplexed GET/SET, {commands} commands/phase; \
+         restore_16chunk per restored key (counting global allocator)"
     );
     println!("{}", table.render());
 

@@ -14,12 +14,13 @@
 //!   snapshotter forces a full snapshot, so restore cost and blast radius
 //!   of a lost base stay bounded.
 //!
-//! Restoration resolves the chain newest → oldest down to its full base,
-//! fetches/decodes the chunks (in parallel when the restore is configured
-//! with workers), and merges them newest-first: once a newer manifest's
-//! chunk has claimed a slot range, older data in those slots is ignored —
-//! which is also how deletions propagate, since a dirtied-but-now-empty
-//! slot still claims its range.
+//! Restoration resolves the chain newest → oldest down to its full base and
+//! decodes the chunks straight into the slot-range partitions log replay
+//! runs on (one worker per partition when the restore is configured with
+//! workers), newest manifest first: once a newer manifest's chunk has
+//! claimed a slot range, older data in those slots is ignored — which is
+//! also how deletions propagate, since a dirtied-but-now-empty slot still
+//! claims its range.
 //!
 //! Store layout (separate prefixes so the legacy `snapshots/` namespace and
 //! its ordering stay intact):
@@ -35,13 +36,12 @@
 
 use crate::slotset::SlotSet;
 use crate::snapshot::{ShardSnapshot, SnapshotError};
+use crate::stripes::{slot_range_of, stripe_of};
 use bytes::Bytes;
 use memorydb_engine::rdb::{self, crc64};
 use memorydb_engine::{key_hash_slot, Db, EngineVersion};
 use memorydb_objectstore::ObjectStore;
 use memorydb_txlog::EntryId;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const MAGIC: &[u8; 4] = b"MDSM";
 
@@ -402,8 +402,9 @@ pub fn list_candidates(store: &ObjectStore, shard_name: &str) -> Vec<SnapshotCan
 /// replay, whether it came from a legacy blob or an incremental chain.
 #[derive(Debug)]
 pub struct SnapshotImage {
-    /// The merged keyspace at `covered`.
-    pub db: Db,
+    /// The keyspace at `covered`, as the `k` disjoint slot-range
+    /// partitions ([`stripe_of`]`(slot, k)`) the caller asked for.
+    pub parts: Vec<Db>,
     /// Last transaction-log entry included.
     pub covered: EntryId,
     /// Running checksum through `covered`.
@@ -429,13 +430,14 @@ pub struct SnapshotImage {
 
 /// Fetches the newest restorable snapshot image, degrading candidate by
 /// candidate: a corrupt blob, broken chain, or corrupt/unfetchable chunk
-/// fails only that candidate. `workers > 1` fetches and decodes chunk blobs
-/// on that many threads. Returns `Ok(None)` on an empty store and the last
-/// error when candidates exist but none restores.
+/// fails only that candidate. The image comes back as `partitions` (min 1)
+/// slot-range partitions, each decoded on its own thread. Returns
+/// `Ok(None)` on an empty store and the last error when candidates exist
+/// but none restores.
 pub fn fetch_latest_image(
     store: &ObjectStore,
     shard_name: &str,
-    workers: usize,
+    partitions: usize,
 ) -> Result<Option<SnapshotImage>, SnapshotError> {
     let candidates = list_candidates(store, shard_name);
     if candidates.is_empty() {
@@ -443,7 +445,7 @@ pub fn fetch_latest_image(
     }
     let mut last_err = SnapshotError::Corrupt("no restorable snapshot".into());
     for (i, cand) in candidates.iter().enumerate() {
-        match materialize(store, shard_name, cand, workers) {
+        match materialize(store, shard_name, cand, partitions.max(1)) {
             Ok(mut image) => {
                 image.newest = i == 0;
                 return Ok(Some(image));
@@ -488,7 +490,7 @@ fn materialize(
     store: &ObjectStore,
     shard_name: &str,
     cand: &SnapshotCandidate,
-    workers: usize,
+    k: usize,
 ) -> Result<SnapshotImage, SnapshotError> {
     match cand {
         SnapshotCandidate::Legacy(covered) => {
@@ -497,9 +499,9 @@ fn materialize(
                 .get(&key)
                 .map_err(|e| SnapshotError::Corrupt(format!("snapshot {key}: {e}")))?;
             let snap = ShardSnapshot::decode(&blob)?;
-            let db = snap.load_db()?;
+            let parts = snap.load_db()?.split_by_slot(k, |slot| stripe_of(slot, k));
             Ok(SnapshotImage {
-                db,
+                parts,
                 covered: snap.covered,
                 running_crc: snap.running_crc,
                 epoch: snap.epoch,
@@ -514,14 +516,14 @@ fn materialize(
         SnapshotCandidate::Manifest(covered) => {
             let head = SnapshotManifest::fetch_at(store, shard_name, *covered)?;
             let chain = resolve_chain(store, shard_name, head)?;
-            let db = merge_chain(store, shard_name, &chain, workers)?;
+            let parts = load_chain(store, shard_name, &chain, k)?;
             let full_covered = chain.full_covered();
             let chain_len = chain.chain_len();
             let Some(head) = chain.manifests.into_iter().next() else {
                 return Err(SnapshotError::Corrupt("empty chain".into()));
             };
             Ok(SnapshotImage {
-                db,
+                parts,
                 covered: head.covered,
                 running_crc: head.running_crc,
                 epoch: head.epoch,
@@ -536,103 +538,101 @@ fn materialize(
     }
 }
 
-/// Fetches, verifies and decodes one chunk blob.
-fn load_chunk(
+/// Fetches one chunk blob, verifies it against its manifest reference and
+/// its own trailer in a single checksum pass, and decodes its entries
+/// straight into `part`, skipping keys whose slot `keep` rejects. A key
+/// outside the chunk's declared slot range fails the chunk: partitioned
+/// replay routes by slot, so a misplaced key would silently diverge.
+fn load_chunk_into(
+    part: &mut Db,
     store: &ObjectStore,
     shard_name: &str,
     covered: EntryId,
     chunk: &ChunkRef,
-) -> Result<Db, SnapshotError> {
+    keep: impl Fn(u16) -> bool,
+) -> Result<(), SnapshotError> {
     let key = SnapshotManifest::chunk_key(shard_name, covered, chunk.lo, chunk.hi);
-    let (_, blob) = store
-        .get(&key)
-        .map_err(|e| SnapshotError::Corrupt(format!("chunk {key}: {e}")))?;
-    if blob.len() as u64 != chunk.len || crc64(&blob) != chunk.crc {
-        return Err(SnapshotError::Corrupt(format!(
-            "chunk {key} does not match its manifest reference"
-        )));
+    let corrupt =
+        |what: &dyn std::fmt::Display| SnapshotError::Corrupt(format!("chunk {key}: {what}"));
+    let (_, blob) = store.get(&key).map_err(|e| corrupt(&e))?;
+    let entries = rdb::Entries::open(&blob).map_err(|e| corrupt(&e))?;
+    if blob.len() as u64 != chunk.len || entries.blob_crc() != chunk.crc {
+        return Err(corrupt(&"does not match its manifest reference"));
     }
-    rdb::load(&blob).map_err(|e| SnapshotError::Corrupt(format!("chunk {key}: {e}")))
+    part.reserve(entries.size_hint_capped());
+    for entry in entries {
+        let (k, value, expire_at) = entry.map_err(|e| corrupt(&e))?;
+        let slot = key_hash_slot(&k);
+        if !(chunk.lo..=chunk.hi).contains(&slot) {
+            return Err(corrupt(&"holds a key outside its slot range"));
+        }
+        if keep(slot) {
+            part.insert_loaded(k, value, expire_at);
+        }
+    }
+    Ok(())
 }
 
-/// Fetches and decodes every chunk of the chain, then merges newest → oldest
-/// under slot-coverage masking. With `workers > 1` the fetch+decode runs on
-/// a scoped thread pool pulling tasks off a shared counter; the merge itself
-/// stays sequential in chain order (it is cheap relative to decode).
-fn merge_chain(
+/// Builds partition `p` of `k` (the slots [`stripe_of`] maps to `p`) from
+/// the chain, newest manifest first: a slot range claimed by a newer
+/// manifest masks older data in those slots — including deletions, because
+/// an empty dirtied slot still claims its range. Only chunks overlapping
+/// the partition's slot range are fetched at all.
+fn load_partition(
     store: &ObjectStore,
     shard_name: &str,
     chain: &SnapshotChain,
-    workers: usize,
+    p: usize,
+    k: usize,
 ) -> Result<Db, SnapshotError> {
-    // Flat task list: (manifest index, chunk). Chain order is preserved by
-    // indexing results, not by completion order.
-    let tasks: Vec<(usize, &ChunkRef)> = chain
-        .manifests
-        .iter()
-        .enumerate()
-        .flat_map(|(mi, m)| m.chunks.iter().map(move |c| (mi, c)))
-        .collect();
-    let mut decoded: Vec<Option<Result<Db, SnapshotError>>> = Vec::new();
-    decoded.resize_with(tasks.len(), || None);
-    let workers = workers.max(1).min(tasks.len().max(1));
-    if workers <= 1 {
-        for (slot, &(mi, chunk)) in decoded.iter_mut().zip(&tasks) {
-            let covered = chain.manifests.get(mi).map(|m| m.covered);
-            let covered = covered.unwrap_or(EntryId::ZERO);
-            *slot = Some(load_chunk(store, shard_name, covered, chunk));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Db, SnapshotError>>>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(mi, chunk)) = tasks.get(i) else {
-                        break;
-                    };
-                    let covered = chain
-                        .manifests
-                        .get(mi)
-                        .map(|m| m.covered)
-                        .unwrap_or(EntryId::ZERO);
-                    let result = load_chunk(store, shard_name, covered, chunk);
-                    if let Some(slot) = slots.get(i) {
-                        *slot.lock() = Some(result);
-                    }
-                });
-            }
-        });
-        for (dst, src) in decoded.iter_mut().zip(slots) {
-            *dst = src.into_inner();
-        }
-    }
-
-    // Merge newest-first: a slot range claimed by a newer manifest masks
-    // older data in those slots — including deletions, because an empty
-    // dirtied slot still claims its range.
-    let mut db = Db::new();
+    let (lo, hi) = slot_range_of(p, k);
+    let mut part = Db::new();
     let mut claimed = SlotSet::empty();
-    let mut cursor = 0usize;
     for m in &chain.manifests {
-        for _ in &m.chunks {
-            let part = match decoded.get_mut(cursor).and_then(Option::take) {
-                Some(Ok(part)) => part,
-                Some(Err(e)) => return Err(e),
-                None => return Err(SnapshotError::Corrupt("chunk task lost".into())),
-            };
-            cursor += 1;
-            db.absorb_if(part, |key| !claimed.contains(key_hash_slot(key)));
+        let mine = m.chunks.iter().filter(|c| c.lo <= hi && c.hi >= lo);
+        for chunk in mine.clone() {
+            load_chunk_into(&mut part, store, shard_name, m.covered, chunk, |slot| {
+                (lo..=hi).contains(&slot) && !claimed.contains(slot)
+            })?;
         }
-        for c in &m.chunks {
-            for slot in c.lo..=c.hi {
+        for chunk in mine {
+            for slot in chunk.lo.max(lo)..=chunk.hi.min(hi) {
                 claimed.insert(slot);
             }
         }
     }
-    Ok(db)
+    Ok(part)
+}
+
+/// Decodes the chain directly into the `k` slot-range partitions replay
+/// runs on, one worker per partition when `k > 1`. Full snapshots are
+/// chunked on the same [`slot_range_of`] boundaries, so each worker reads
+/// only its own chunks and the workers share nothing; a chunk straddling a
+/// partition boundary (a delta range, or `k` not dividing the chunk count)
+/// is decoded by each partition it overlaps, which keeps only its own keys.
+fn load_chain(
+    store: &ObjectStore,
+    shard_name: &str,
+    chain: &SnapshotChain,
+    k: usize,
+) -> Result<Vec<Db>, SnapshotError> {
+    let k = k.max(1);
+    if k == 1 {
+        return Ok(vec![load_partition(store, shard_name, chain, 0, 1)?]);
+    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..k)
+            .map(|p| scope.spawn(move || load_partition(store, shard_name, chain, p, k)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join().unwrap_or_else(|_| {
+                    Err(SnapshotError::Corrupt("restore worker panicked".into()))
+                })
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -154,20 +154,23 @@ impl OffboxSnapshotter {
             Some(_) => coalesce_ranges(&rp.rs.dirty_slots.to_ranges(), n_chunks),
         };
 
-        // (4) Dump each range and build the manifest.
+        // (4) Dump every range in one pass over the keyspace and build the
+        // manifest.
         let covered = rp.rs.applied;
-        let mut chunks = Vec::with_capacity(ranges.len());
-        let mut blobs = Vec::with_capacity(ranges.len());
-        for &(lo, hi) in &ranges {
-            let blob = rdb::dump_slot_range(&[&rp.engine.db], lo, hi);
-            chunks.push(ChunkRef {
+        let blobs: Vec<Bytes> = rdb::dump_slot_ranges(&[&rp.engine.db], &ranges)
+            .into_iter()
+            .map(Bytes::from)
+            .collect();
+        let chunks = ranges
+            .iter()
+            .zip(&blobs)
+            .map(|(&(lo, hi), blob)| ChunkRef {
                 lo,
                 hi,
                 len: blob.len() as u64,
-                crc: rdb::crc64(&blob),
-            });
-            blobs.push(Bytes::from(blob));
-        }
+                crc: rdb::crc64(blob),
+            })
+            .collect();
         let manifest = SnapshotManifest {
             covered,
             running_crc: rp.rs.running_crc,
@@ -205,7 +208,10 @@ impl OffboxSnapshotter {
     }
 
     /// §7.2.1 rehearsal: decode the manifest and every chunk as a restorer
-    /// would, and cross-check chunk contents against the live keyspace.
+    /// would — same decoder, no keyspace built — and cross-check chunk
+    /// contents against the live keyspace: each chunk must hold exactly as
+    /// many keys as the live per-slot counts say its range has, every one
+    /// of them inside that range, and a full snapshot must hold them all.
     fn rehearse(
         &self,
         manifest: &SnapshotManifest,
@@ -219,34 +225,32 @@ impl OffboxSnapshotter {
                 "manifest did not round-trip".into(),
             ));
         }
-        // Expected key count per range, from one pass over the live db.
-        let ranges: Vec<(u16, u16)> = manifest.chunks.iter().map(|c| (c.lo, c.hi)).collect();
-        let mut expected = vec![0usize; ranges.len()];
-        let mut outside = 0usize;
-        for (key, _) in db.iter_entries() {
-            match range_index_of(&ranges, key_hash_slot(key)) {
-                Some(i) => expected[i] += 1,
-                None => outside += 1,
+        let mut total = 0usize;
+        for (chunk, blob) in manifest.chunks.iter().zip(blobs) {
+            let fail = |what: &dyn std::fmt::Display| {
+                OffboxError::Verification(format!("chunk {}-{}: {what}", chunk.lo, chunk.hi))
+            };
+            let want: usize = (chunk.lo..=chunk.hi)
+                .map(|slot| db.count_keys_in_slot(slot))
+                .sum();
+            let mut got = 0usize;
+            for entry in rdb::Entries::open(blob).map_err(|e| fail(&e))? {
+                let (key, _, _) = entry.map_err(|e| fail(&e))?;
+                if !(chunk.lo..=chunk.hi).contains(&key_hash_slot(&key)) {
+                    return Err(fail(&"holds a key outside its slot range"));
+                }
+                got += 1;
             }
+            if got != want {
+                return Err(fail(&format!("rehearsal count mismatch: {got} vs {want}")));
+            }
+            total += got;
         }
-        if manifest.is_full() && outside != 0 {
+        if manifest.is_full() && total != db.len() {
             return Err(OffboxError::Verification(format!(
-                "full snapshot ranges miss {outside} keys"
+                "full snapshot ranges miss {} keys",
+                db.len() - total
             )));
-        }
-        for ((chunk, blob), want) in manifest.chunks.iter().zip(blobs).zip(&expected) {
-            let loaded = rdb::load(blob).map_err(|e| {
-                OffboxError::Verification(format!("chunk {}-{}: {e}", chunk.lo, chunk.hi))
-            })?;
-            if loaded.len() != *want {
-                return Err(OffboxError::Verification(format!(
-                    "chunk {}-{} rehearsal count mismatch: {} vs {}",
-                    chunk.lo,
-                    chunk.hi,
-                    loaded.len(),
-                    want
-                )));
-            }
         }
         Ok(())
     }
@@ -275,12 +279,6 @@ fn coalesce_ranges(ranges: &[(u16, u16)], max: usize) -> Vec<(u16, u16)> {
     out
 }
 
-/// Index of the range containing `slot`, if any (`ranges` sorted by `lo`).
-fn range_index_of(ranges: &[(u16, u16)], slot: u16) -> Option<usize> {
-    let i = ranges.partition_point(|r| r.1 < slot);
-    (i < ranges.len() && ranges[i].0 <= slot).then_some(i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,16 +294,5 @@ mod tests {
         // max 1: one covering range.
         assert_eq!(coalesce_ranges(&ranges, 1), vec![(0, 600)]);
         assert!(coalesce_ranges(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn range_index_lookup() {
-        let ranges = vec![(0u16, 10u16), (20, 30), (40, 40)];
-        assert_eq!(range_index_of(&ranges, 0), Some(0));
-        assert_eq!(range_index_of(&ranges, 10), Some(0));
-        assert_eq!(range_index_of(&ranges, 15), None);
-        assert_eq!(range_index_of(&ranges, 25), Some(1));
-        assert_eq!(range_index_of(&ranges, 40), Some(2));
-        assert_eq!(range_index_of(&ranges, 41), None);
     }
 }

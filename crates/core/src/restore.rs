@@ -6,12 +6,14 @@
 //! transaction log suffix — never talking to healthy peers, so any number
 //! of replicas can restore in parallel without a centralized bottleneck.
 //!
-//! With [`RestoreOptions::workers`] > 1, restoration itself parallelizes:
-//! chunk blobs are fetched/decoded on a worker pool, the seeded engine is
-//! split into per-slot-range partitions, and log replay folds control state
-//! sequentially while fanning the data work out per stripe — each stripe's
-//! queue preserves log order, which is exactly the fold-order invariant the
-//! striped serving path pins (see [`crate::stripes`]).
+//! The keyspace is built once. With [`RestoreOptions::workers`] = `k`, the
+//! image is decoded straight into `k` slot-range partitions (one worker
+//! each, see [`crate::manifest`]), log replay folds control state
+//! sequentially while fanning the data work out per partition — each
+//! partition's queue preserves log order, which is exactly the fold-order
+//! invariant the striped serving path pins (see [`crate::stripes`]) — and
+//! the disjoint partitions are finally moved, not re-inserted, into the one
+//! engine of the [`RestorePoint`].
 
 use crate::apply::{
     effect_slot, fold_entry_deferred, is_broadcast_effect, DeferredWork, HaltReason, ReplicaState,
@@ -28,7 +30,8 @@ use std::time::Instant;
 /// Knobs for a restore run.
 #[derive(Debug, Clone, Copy)]
 pub struct RestoreOptions {
-    /// Worker threads for chunk fetch/decode and partitioned replay.
+    /// Slot-range partitions the image is decoded into and the log suffix
+    /// is replayed on, one worker thread each.
     /// `0` = auto (one per available core), `1` = fully sequential.
     pub workers: usize,
 }
@@ -192,16 +195,20 @@ fn restore_replica_once(
     target: ReplayTarget,
     workers: usize,
 ) -> Result<RestorePoint, RestoreError> {
-    let mut engine = Engine::with_version(Role::Replica, my_version);
     let mut rs = ReplicaState::new();
     let mut seeded_from = None;
+    let k = workers.max(1);
+    let mut parts: Vec<Engine> = (0..k)
+        .map(|_| Engine::with_version(Role::Replica, my_version))
+        .collect();
 
     // Step 1: newest restorable snapshot image, if any (§4.2.1 "loads a
-    // recent point-in-time snapshot"). Handles both legacy single-blob
-    // snapshots and chunked incremental chains; a corrupt newest candidate
-    // degrades to the next older restorable one.
+    // recent point-in-time snapshot"), decoded directly into the `k`
+    // partitions replay runs on. Handles both legacy single-blob snapshots
+    // and chunked incremental chains; a corrupt newest candidate degrades
+    // to the next older restorable one.
     if let Some(image) =
-        manifest::fetch_latest_image(store, shard_name, workers).map_err(RestoreError::Snapshot)?
+        manifest::fetch_latest_image(store, shard_name, k).map_err(RestoreError::Snapshot)?
     {
         seeded_from = Some(SeedInfo {
             covered: image.covered,
@@ -210,7 +217,9 @@ fn restore_replica_once(
             from_manifest: image.from_manifest,
             newest: image.newest,
         });
-        engine.db = image.db;
+        for (part, db) in parts.iter_mut().zip(image.parts) {
+            part.db = db;
+        }
         rs.applied = image.covered;
         rs.running_crc = image.running_crc;
         rs.epoch = image.epoch;
@@ -219,15 +228,8 @@ fn restore_replica_once(
     }
 
     // Step 2: replay the log suffix ("replays subsequent transactions").
-    // With workers > 1 the engine is split into per-slot-range partitions;
-    // each batch folds control state sequentially and drains the deferred
+    // Each batch folds control state sequentially and drains the deferred
     // data work per partition concurrently.
-    let k = workers.max(1);
-    let mut parts = if k > 1 {
-        engine.split_striped(k, |slot| stripe_of(slot, k))
-    } else {
-        vec![engine]
-    };
     'replay: loop {
         let upper = match target {
             ReplayTarget::Tail => None,
@@ -278,14 +280,16 @@ fn restore_replica_once(
     // is a fresh leadership signal, so reset the election timer reference.
     rs.last_leadership_signal = Instant::now();
 
-    // Merge the partitions back into one engine: the slot partitioning is
-    // disjoint, so absorbing moves each key exactly once.
+    // Move the partitions into one engine: they are disjoint, so every
+    // entry moves exactly once, into a table sized for all of them.
+    let total: usize = parts.iter().map(|p| p.db.len()).sum();
     let mut parts_it = parts.into_iter();
     let Some(mut engine) = parts_it.next() else {
         return Err(RestoreError::Halted(HaltReason::EffectFailed(
             "restore produced no engine partitions".into(),
         )));
     };
+    engine.db.reserve(total - engine.db.len());
     for p in parts_it {
         engine.db.absorb(p.db);
     }

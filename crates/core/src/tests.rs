@@ -2131,6 +2131,301 @@ fn incremental_chain_restores_byte_identical_to_full_replay() {
     }
 }
 
+/// A random keyspace over every value type, with TTLs, crowded into few
+/// slots (hash tags) so a later phase can empty whole slots.
+fn random_keyspace_step(engine: &mut memorydb_engine::Engine, rng: &mut Lcg, ops: usize) {
+    let mut s = SessionState::new();
+    for _ in 0..ops {
+        let key = format!("{{s{}}}k{}", rng.next() % 40, rng.next() % 6);
+        let v = format!("v{}", rng.next() % 1000);
+        let c = match rng.next() % 9 {
+            0 => cmd(["SET", &key, &v]),
+            1 => cmd(["RPUSH", &key, &v, "x"]),
+            2 => cmd(["HSET", &key, &v, "1", "f", &v]),
+            3 => cmd(["SADD", &key, &v, "m"]),
+            4 => cmd(["ZADD", &key, "1.5", &v, "-2", "z"]),
+            5 => cmd(["XADD", &key, "*", "f", &v]),
+            6 => cmd(["PFADD", &key, &v]),
+            7 => cmd([
+                "PEXPIREAT",
+                &key,
+                &format!("{}", 5_000_000 + rng.next() % 1000),
+            ]),
+            _ => cmd(["DEL", &key]),
+        };
+        // WRONGTYPE replies are fine: the key just keeps its older value.
+        engine.execute(&mut s, &c);
+    }
+}
+
+/// Publishes `engine`'s keys in `ranges` as one manifest (full when `base`
+/// is `None`), exactly as the off-box snapshotter lays it out.
+fn publish_manifest(
+    store: &ObjectStore,
+    engine: &memorydb_engine::Engine,
+    covered: u64,
+    base: Option<(u64, u32)>,
+    ranges: &[(u16, u16)],
+) -> crate::manifest::SnapshotManifest {
+    use crate::manifest::{ChunkRef, SnapshotManifest};
+    use memorydb_engine::rdb;
+    use memorydb_txlog::EntryId;
+    let blobs = rdb::dump_slot_ranges(&[&engine.db], ranges);
+    let mut chunks = Vec::new();
+    for (&(lo, hi), blob) in ranges.iter().zip(blobs) {
+        chunks.push(ChunkRef {
+            lo,
+            hi,
+            len: blob.len() as u64,
+            crc: rdb::crc64(&blob),
+        });
+        store.put(
+            &SnapshotManifest::chunk_key("p", EntryId(covered), lo, hi),
+            Bytes::from(blob),
+        );
+    }
+    let m = SnapshotManifest {
+        covered: EntryId(covered),
+        running_crc: covered.wrapping_mul(0x9E37_79B9),
+        engine_version: memorydb_engine::EngineVersion::CURRENT,
+        epoch: covered / 7,
+        slot_ranges: vec![(0, 9000), (9002, 16383)],
+        blocked_slots: vec![(covered % 16384) as u16],
+        base: EntryId(base.map_or(0, |b| b.0)),
+        chain_len: base.map_or(0, |b| b.1 + 1),
+        chunks,
+    };
+    store.put(&SnapshotManifest::store_key("p", m.covered), m.encode());
+    m
+}
+
+/// Property (randomized, seeded): the partition-direct image load yields
+/// the keyspace the pre-partitioning pipeline defined — decode every chunk
+/// on its own, mask slots a newer manifest claimed, merge newest-first —
+/// for random keyspaces over all value types with TTLs and random full +
+/// delta chains, including deltas that empty whole slots. Every worker
+/// count agrees byte for byte, 3 included (its partitions straddle the
+/// 16-chunk layout, so chunks are decoded by two workers).
+#[test]
+fn partition_direct_restore_matches_decode_mask_merge() {
+    use crate::restore::{restore_replica_opts, ReplayTarget, RestoreOptions};
+    use crate::slotset::SlotSet;
+    use crate::stripes::slot_range_of;
+    use memorydb_engine::{key_hash_slot, rdb, Db, Engine, EngineVersion};
+    for seed in 0..10u64 {
+        let mut rng = Lcg(0xC0FF_EE00 + seed);
+        let store = ObjectStore::new();
+        let log = memorydb_txlog::LogService::new(memorydb_txlog::LogConfig::instant());
+        let mut engine = Engine::new(Role::Primary);
+        engine.set_time_ms(1_000);
+
+        // Full base, chunked like the snapshotter chunks it.
+        random_keyspace_step(&mut engine, &mut rng, 400);
+        let n_chunks = [1usize, 4, 16][(rng.next() % 3) as usize];
+        let full: Vec<(u16, u16)> = (0..n_chunks).map(|i| slot_range_of(i, n_chunks)).collect();
+        let mut manifests = vec![publish_manifest(&store, &engine, 100, None, &full)];
+
+        // Deltas: rewrite some slots, empty one entirely, and publish
+        // exactly the slots whose content changed — the emptied one
+        // included, which is how a deletion reaches the restorer.
+        let mut tag_slots: Vec<u16> = (0..40)
+            .map(|t| key_hash_slot(format!("s{t}").as_bytes()))
+            .collect();
+        tag_slots.sort_unstable();
+        tag_slots.dedup();
+        for d in 0..(rng.next() % 4) {
+            let before = engine.db.clone();
+            random_keyspace_step(&mut engine, &mut rng, 60);
+            let doomed = tag_slots[(rng.next() % tag_slots.len() as u64) as usize];
+            engine.db.delete_slot(doomed);
+            let mut ranges: Vec<(u16, u16)> = tag_slots
+                .iter()
+                .filter(|&&s| {
+                    rdb::dump_slot_range(&[&before], s, s)
+                        != rdb::dump_slot_range(&[&engine.db], s, s)
+                })
+                .map(|&s| (s, s))
+                .collect();
+            if ranges.len() > 2 && rng.next() % 2 == 1 {
+                // Coalescing pulls clean slots into a chunk; their data is
+                // current, so the claim stays correct.
+                let second = ranges.remove(1);
+                ranges[0].1 = second.1;
+            }
+            let prev = manifests.last().map(|m| (m.covered.0, m.chain_len));
+            manifests.push(publish_manifest(
+                &store,
+                &engine,
+                200 + d * 10,
+                prev,
+                &ranges,
+            ));
+        }
+        let head = manifests.last().unwrap().clone();
+
+        // Reference: decode each chunk whole, mask, merge newest-first.
+        let mut reference = Db::new();
+        let mut claimed = SlotSet::empty();
+        for m in manifests.iter().rev() {
+            for c in &m.chunks {
+                let key = crate::manifest::SnapshotManifest::chunk_key("p", m.covered, c.lo, c.hi);
+                let part = rdb::load(&store.get(&key).unwrap().1).unwrap();
+                for (k, e) in part.iter_entries() {
+                    if !claimed.contains(key_hash_slot(k)) {
+                        reference.set_value(k.clone(), e.value.clone());
+                        reference.set_expiry(k, e.expire_at);
+                    }
+                }
+            }
+            for c in &m.chunks {
+                (c.lo..=c.hi).for_each(|slot| claimed.insert(slot));
+            }
+        }
+        let want = rdb::dump(&reference);
+        assert_eq!(
+            want,
+            rdb::dump(&engine.db),
+            "seed {seed}: chain ≠ live keyspace"
+        );
+
+        for workers in [1usize, 2, 3, 4] {
+            let rp = restore_replica_opts(
+                &store,
+                &log,
+                91_000 + workers as u64,
+                "p",
+                EngineVersion::CURRENT,
+                ReplayTarget::Tail,
+                RestoreOptions { workers },
+            )
+            .expect("restore");
+            let tag = format!("seed {seed} workers {workers}");
+            assert_eq!(rdb::dump(&rp.engine.db), want, "{tag}");
+            assert_eq!(rp.engine.db.len(), reference.len(), "{tag}");
+            for (k, e) in reference.iter_entries() {
+                assert_eq!(
+                    rp.engine.db.expiry(k),
+                    e.expire_at,
+                    "{tag}: expiry of {k:?}"
+                );
+            }
+            assert_eq!(rp.rs.applied, head.covered, "{tag}");
+            assert_eq!(rp.rs.running_crc, head.running_crc, "{tag}");
+            assert_eq!(rp.rs.epoch, head.epoch, "{tag}");
+            assert_eq!(rp.rs.owned_slots.to_ranges(), head.slot_ranges, "{tag}");
+            assert_eq!(
+                rp.rs.blocked_slots,
+                head.blocked_slots.iter().copied().collect(),
+                "{tag}"
+            );
+            let seeded = rp.seeded_from.expect("seeded from the chain");
+            assert_eq!(seeded.chain_len, head.chain_len, "{tag}");
+            assert_eq!(seeded.full_covered, manifests[0].covered, "{tag}");
+        }
+        log.shutdown();
+    }
+}
+
+/// A chunk whose blob holds a key outside its declared slot range must fail
+/// the candidate: partitioned replay routes by slot.
+#[test]
+fn chunk_with_a_key_outside_its_range_is_rejected() {
+    use crate::manifest::{fetch_latest_image, ChunkRef, SnapshotManifest};
+    use memorydb_engine::{rdb, Engine};
+    use memorydb_txlog::EntryId;
+    let store = ObjectStore::new();
+    let mut engine = Engine::new(Role::Primary);
+    let mut s = SessionState::new();
+    engine.execute(&mut s, &cmd(["SET", "foo", "v"])); // slot 12182
+    let blob = rdb::dump(&engine.db);
+    let chunk = ChunkRef {
+        lo: 0,
+        hi: 8191,
+        len: blob.len() as u64,
+        crc: rdb::crc64(&blob),
+    };
+    store.put(
+        &SnapshotManifest::chunk_key("p", EntryId(5), 0, 8191),
+        Bytes::from(blob),
+    );
+    let m = SnapshotManifest {
+        covered: EntryId(5),
+        running_crc: 0,
+        engine_version: memorydb_engine::EngineVersion::CURRENT,
+        epoch: 0,
+        slot_ranges: vec![(0, 16383)],
+        blocked_slots: vec![],
+        base: EntryId::ZERO,
+        chain_len: 0,
+        chunks: vec![chunk],
+    };
+    store.put(&SnapshotManifest::store_key("p", m.covered), m.encode());
+    let err = fetch_latest_image(&store, "p", 2).expect_err("misplaced key");
+    assert!(err.to_string().contains("outside its slot range"), "{err}");
+}
+
+/// On-disk compatibility: a chunk and a manifest written by the commit
+/// before the single-index keyspace / slice-by-8 CRC still load, re-dump
+/// byte-identically, and the CRC of a fixed vector is the value that commit
+/// computed.
+#[test]
+fn golden_blobs_from_the_previous_format_owner_still_load() {
+    use crate::manifest::{fetch_latest_image, SnapshotManifest};
+    use memorydb_engine::rdb;
+    use memorydb_txlog::EntryId;
+    const CHUNK: &[u8] = include_bytes!("../testdata/golden/chunk_00000-08191.rdb");
+    const MANIFEST: &[u8] = include_bytes!("../testdata/golden/manifest.mdsm");
+
+    let vector: Vec<u8> = (0..1024u32)
+        .map(|i| (i.wrapping_mul(31).wrapping_add(7) % 251) as u8)
+        .collect();
+    assert_eq!(rdb::crc64(&vector), 0xb7f5_75ff_7fcc_dcd0);
+    // Streaming in ragged pieces crosses the 8-byte stride every way.
+    let mut streamed = rdb::Crc64::new();
+    for piece in vector.chunks(13) {
+        streamed.update(piece);
+    }
+    assert_eq!(streamed.digest(), 0xb7f5_75ff_7fcc_dcd0);
+
+    let db = rdb::load(CHUNK).expect("golden chunk loads");
+    assert_eq!(db.len(), 30);
+    assert_eq!(
+        db.lookup(b"str", 0),
+        Some(&memorydb_engine::Value::Str("hello".into()))
+    );
+    assert_eq!(db.expiry(b"ttl:3"), Some(999_003));
+    assert_eq!(db.expiry(b"key:0"), None);
+    for ty in ["hash", "set", "stream"] {
+        assert!(db.lookup(ty.as_bytes(), 0).is_some(), "{ty}");
+    }
+    assert_eq!(rdb::dump(&db), CHUNK, "re-dump must be byte-identical");
+
+    let m = SnapshotManifest::decode(MANIFEST).expect("golden manifest decodes");
+    assert_eq!(m.covered, EntryId(77));
+    assert_eq!(m.blocked_slots, vec![866]);
+    assert_eq!((m.chunks[0].lo, m.chunks[0].hi), (0, 8191));
+    assert_eq!(m.chunks[0].len, CHUNK.len() as u64);
+    assert_eq!(m.chunks[0].crc, rdb::crc64(CHUNK));
+    assert_eq!(m.encode().as_ref(), MANIFEST);
+
+    // And the pair restores as an image, on one partition or several.
+    let store = ObjectStore::new();
+    store.put(
+        &SnapshotManifest::store_key("g", m.covered),
+        Bytes::from_static(MANIFEST),
+    );
+    store.put(
+        &SnapshotManifest::chunk_key("g", m.covered, 0, 8191),
+        Bytes::from_static(CHUNK),
+    );
+    for k in [1usize, 4] {
+        let image = fetch_latest_image(&store, "g", k).unwrap().expect("image");
+        assert_eq!(image.parts.len(), k);
+        assert_eq!(image.parts.iter().map(|p| p.len()).sum::<usize>(), 30);
+        assert_eq!(image.running_crc, 0x0123_4567_89AB_CDEF);
+    }
+}
+
 /// Regression: a slot blocked mid-migration must survive a crash-restore
 /// through the snapshot+trim cycle — the manifest carries `blocked_slots`,
 /// and the cold restore re-seeds them even though the `MigrationPrepare`

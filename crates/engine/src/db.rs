@@ -1,45 +1,83 @@
-//! The keyspace: key → value entries with expiration, a per-slot index for
-//! cluster migration, per-key versions for `WATCH`, and SCAN support.
+//! The keyspace: key → value entries with expiration, per-slot key counts
+//! for cluster migration, per-key versions for `WATCH`, and SCAN support.
 
-use crate::slots::key_hash_slot;
+use crate::slots::{key_hash_slot, NUM_SLOTS};
 use crate::value::Value;
 use bytes::Bytes;
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, HashSet};
 
 /// One keyspace entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Entry {
     /// The stored value.
     pub value: Value,
     /// Absolute expiry in engine milliseconds, if any.
     pub expire_at: Option<u64>,
+    /// Modification version (drives `WATCH`), drawn from the keyspace's
+    /// monotonic counter.
+    version: u64,
+    /// Index of this key in the dense key list.
+    pos: usize,
 }
 
 /// The keyspace of a single shard.
 ///
-/// Besides the main hash map it maintains:
-/// * a dense key vector for O(1) `RANDOMKEY` and cursor-based `SCAN`;
-/// * a slot → keys index, used by slot migration (paper §5.2) and
-///   `CLUSTER GETKEYSINSLOT`;
-/// * per-key modification versions driving `WATCH`;
+/// `entries` is the only per-key hash table: a new key costs one hash
+/// insert. Besides it the keyspace maintains:
+/// * a dense key vector for O(1) `RANDOMKEY` and cursor-based `SCAN` (each
+///   entry records its own position, so removal is a swap-remove);
+/// * per-slot key counts for `CLUSTER COUNTKEYSINSLOT`; listing or deleting
+///   a slot's keys (migration, paper §5.2) scans the dense key vector;
 /// * an index of keys carrying a TTL, for the active expiry cycle.
-#[derive(Debug, Default, Clone)]
+///
+/// **WATCH versions.** A present key's version lives in its entry. An
+/// absent key reads `removed_floor`, which every removal (and flush) raises
+/// to a fresh counter value — so a watched key that is created, deleted, or
+/// deleted and re-created in between never reads the same version twice.
+/// The one imprecision: removing *any* key changes what every absent key
+/// reads, so a transaction that watched an absent key may abort spuriously.
+#[derive(Debug, Clone)]
 pub struct Db {
     entries: HashMap<Bytes, Entry>,
     key_list: Vec<Bytes>,
-    key_pos: HashMap<Bytes, usize>,
-    slot_index: HashMap<u16, HashSet<Bytes>>,
+    slot_counts: Vec<u32>,
     expires: HashSet<Bytes>,
-    versions: HashMap<Bytes, u64>,
     version_counter: u64,
+    removed_floor: u64,
     /// Count of state-changing operations since creation (Redis's `dirty`).
     pub dirty: u64,
+}
+
+impl Default for Db {
+    fn default() -> Self {
+        Db::new()
+    }
 }
 
 impl Db {
     /// Creates an empty keyspace.
     pub fn new() -> Db {
-        Db::default()
+        Db::with_capacity(0)
+    }
+
+    /// Creates an empty keyspace with room for `keys` keys.
+    pub fn with_capacity(keys: usize) -> Db {
+        Db {
+            entries: HashMap::with_capacity(keys),
+            key_list: Vec::with_capacity(keys),
+            slot_counts: vec![0; NUM_SLOTS as usize],
+            expires: HashSet::new(),
+            version_counter: 0,
+            removed_floor: 0,
+            dirty: 0,
+        }
+    }
+
+    /// Makes room for `additional` more keys without further table growth.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+        self.key_list.reserve(additional);
     }
 
     /// Number of live keys (including logically expired but unreaped ones).
@@ -73,10 +111,12 @@ impl Db {
     /// Mutable lookup; logically expired keys read as absent. The caller is
     /// responsible for calling [`Db::signal_modified`] if it mutates.
     pub fn lookup_mut(&mut self, key: &[u8], now_ms: u64) -> Option<&mut Value> {
-        if self.is_expired(key, now_ms) {
-            return None;
+        let e = self.entries.get_mut(key)?;
+        if e.expire_at.is_some_and(|t| t <= now_ms) {
+            None
+        } else {
+            Some(&mut e.value)
         }
-        self.entries.get_mut(key).map(|e| &mut e.value)
     }
 
     /// If `key` is logically expired, removes it and returns `true`.
@@ -93,42 +133,87 @@ impl Db {
         }
     }
 
+    /// The next modification version, counting one state change.
+    fn bump(&mut self) -> u64 {
+        self.version_counter += 1;
+        self.dirty += 1;
+        self.version_counter
+    }
+
+    /// Inserts or replaces the value at `key` under a fresh version, with
+    /// one hash probe either way. `ttl` is `None` to keep an existing key's
+    /// expiry, `Some(at)` to set (or, with `Some(None)`, clear) it.
+    fn upsert(&mut self, key: Bytes, value: Value, ttl: Option<Option<u64>>) {
+        self.version_counter += 1;
+        let version = self.version_counter;
+        match self.entries.entry(key) {
+            MapEntry::Occupied(mut slot) => {
+                if let Some(expire_at) = ttl {
+                    match (slot.get().expire_at.is_some(), expire_at.is_some()) {
+                        (false, true) => {
+                            self.expires.insert(slot.key().clone());
+                        }
+                        (true, false) => {
+                            self.expires.remove(slot.key());
+                        }
+                        _ => {}
+                    }
+                    slot.get_mut().expire_at = expire_at;
+                }
+                let e = slot.get_mut();
+                e.value = value;
+                e.version = version;
+            }
+            MapEntry::Vacant(slot) => {
+                let key = slot.key().clone();
+                let expire_at = ttl.flatten();
+                self.slot_counts[key_hash_slot(&key) as usize] += 1;
+                if expire_at.is_some() {
+                    self.expires.insert(key.clone());
+                }
+                slot.insert(Entry {
+                    value,
+                    expire_at,
+                    version,
+                    pos: self.key_list.len(),
+                });
+                self.key_list.push(key);
+            }
+        }
+    }
+
     /// Inserts or replaces the value at `key`, clearing any TTL (Redis `SET`
     /// semantics; use [`Db::set_expiry`] afterwards to retain one).
     pub fn set_value(&mut self, key: Bytes, value: Value) {
-        self.signal_modified(&key);
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.value = value;
-            e.expire_at = None;
-            self.expires.remove(&key);
-            return;
-        }
-        self.index_insert(key.clone());
-        self.entries.insert(
-            key,
-            Entry {
-                value,
-                expire_at: None,
-            },
-        );
+        self.dirty += 1;
+        self.upsert(key, value, Some(None));
     }
 
     /// Inserts a value preserving an existing TTL if the key already exists
     /// (the `KEEPTTL` path and in-place aggregate creation).
     pub fn set_value_keep_ttl(&mut self, key: Bytes, value: Value) {
-        self.signal_modified(&key);
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.value = value;
-            return;
+        self.dirty += 1;
+        self.upsert(key, value, None);
+    }
+
+    /// Inserts one decoded snapshot entry with its TTL: the load path's
+    /// single hash insert. A load is not a client write, so `dirty` stays;
+    /// the version is fresh so the key never reads as unmodified. A key the
+    /// image holds twice keeps its last occurrence, like a replayed `SET`.
+    pub fn insert_loaded(&mut self, key: Bytes, value: Value, expire_at: Option<u64>) {
+        self.upsert(key, value, Some(expire_at));
+    }
+
+    /// Indexes `entry` under `key`, which must not be present. No version
+    /// or `dirty` change: this is how whole entries move between keyspaces.
+    fn adopt(&mut self, key: Bytes, mut entry: Entry) {
+        self.slot_counts[key_hash_slot(&key) as usize] += 1;
+        if entry.expire_at.is_some() {
+            self.expires.insert(key.clone());
         }
-        self.index_insert(key.clone());
-        self.entries.insert(
-            key,
-            Entry {
-                value,
-                expire_at: None,
-            },
-        );
+        entry.pos = self.key_list.len();
+        self.key_list.push(key.clone());
+        self.entries.insert(key, entry);
     }
 
     /// Fetches or creates an aggregate value via `default`, returning a
@@ -143,14 +228,14 @@ impl Db {
             self.remove(key);
         }
         if !self.entries.contains_key(key) {
-            self.index_insert(key.clone());
-            self.entries.insert(
-                key.clone(),
-                Entry {
-                    value: default(),
-                    expire_at: None,
-                },
-            );
+            self.version_counter += 1;
+            let entry = Entry {
+                value: default(),
+                expire_at: None,
+                version: self.version_counter,
+                pos: 0,
+            };
+            self.adopt(key.clone(), entry);
         }
         &mut self.entries.get_mut(key).expect("inserted above").value
     }
@@ -158,9 +243,17 @@ impl Db {
     /// Removes a key, returning its value.
     pub fn remove(&mut self, key: &[u8]) -> Option<Value> {
         let entry = self.entries.remove(key)?;
-        self.index_remove(key);
-        self.expires.remove(key);
-        self.signal_modified(key);
+        self.key_list.swap_remove(entry.pos);
+        if let Some(moved) = self.key_list.get(entry.pos) {
+            if let Some(e) = self.entries.get_mut(moved) {
+                e.pos = entry.pos;
+            }
+        }
+        self.slot_counts[key_hash_slot(key) as usize] -= 1;
+        if entry.expire_at.is_some() {
+            self.expires.remove(key);
+        }
+        self.removed_floor = self.bump();
         Some(entry.value)
     }
 
@@ -182,19 +275,20 @@ impl Db {
         let Some(e) = self.entries.get_mut(key) else {
             return false;
         };
-        e.expire_at = expire_at;
-        // Own the key without re-allocating: fetch the stored instance.
-        let owned = self
-            .key_pos
-            .get_key_value(key)
-            .map(|(k, _)| k.clone())
-            .expect("key indexed");
-        if expire_at.is_some() {
-            self.expires.insert(owned);
-        } else {
-            self.expires.remove(key);
+        self.version_counter += 1;
+        self.dirty += 1;
+        e.version = self.version_counter;
+        match (e.expire_at.is_some(), expire_at.is_some()) {
+            // Own the key without re-allocating: clone the listed instance.
+            (false, true) => {
+                self.expires.insert(self.key_list[e.pos].clone());
+            }
+            (true, false) => {
+                self.expires.remove(key);
+            }
+            _ => {}
         }
-        self.signal_modified(key);
+        e.expire_at = expire_at;
         true
     }
 
@@ -219,22 +313,22 @@ impl Db {
             .collect()
     }
 
-    /// Bumps the modification version of `key` (drives `WATCH`).
+    /// Bumps the modification version of `key` (drives `WATCH`). Signalled
+    /// for a key that is absent, it raises the removed-key floor instead.
     pub fn signal_modified(&mut self, key: &[u8]) {
-        self.version_counter += 1;
-        self.dirty += 1;
-        match self.versions.get_mut(key) {
-            Some(v) => *v = self.version_counter,
-            None => {
-                self.versions
-                    .insert(Bytes::copy_from_slice(key), self.version_counter);
-            }
+        let version = self.bump();
+        match self.entries.get_mut(key) {
+            Some(e) => e.version = version,
+            None => self.removed_floor = version,
         }
     }
 
-    /// Current modification version of `key` (0 = never modified).
+    /// Current modification version of `key`: its entry's when present, the
+    /// removed-key floor when absent.
     pub fn version(&self, key: &[u8]) -> u64 {
-        self.versions.get(key).copied().unwrap_or(0)
+        self.entries
+            .get(key)
+            .map_or(self.removed_floor, |e| e.version)
     }
 
     /// A uniformly random live key, using the caller's RNG index.
@@ -276,17 +370,24 @@ impl Db {
             .collect()
     }
 
-    /// Keys currently mapped to a cluster slot.
+    /// Keys currently mapped to a cluster slot: a scan of the dense key
+    /// list that stops once the slot's counted keys are found (migration
+    /// and `CLUSTER GETKEYSINSLOT` only — never on the request path).
     pub fn keys_in_slot(&self, slot: u16) -> Vec<Bytes> {
-        self.slot_index
-            .get(&slot)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default()
+        let want = self.count_keys_in_slot(slot);
+        self.key_list
+            .iter()
+            .filter(|k| key_hash_slot(k) == slot)
+            .take(want)
+            .cloned()
+            .collect()
     }
 
     /// Number of keys in a cluster slot.
     pub fn count_keys_in_slot(&self, slot: u16) -> usize {
-        self.slot_index.get(&slot).map_or(0, |s| s.len())
+        self.slot_counts
+            .get(slot as usize)
+            .map_or(0, |n| *n as usize)
     }
 
     /// Deletes every key in a slot (migration abandon/cleanup path).
@@ -299,23 +400,14 @@ impl Db {
         keys.len()
     }
 
-    /// Drops the entire keyspace.
+    /// Drops the entire keyspace. Raising the removed-key floor makes every
+    /// flushed key read as modified.
     pub fn flush(&mut self) {
         self.entries.clear();
         self.key_list.clear();
-        self.key_pos.clear();
-        self.slot_index.clear();
+        self.slot_counts.fill(0);
         self.expires.clear();
-        self.dirty += 1;
-        self.version_counter += 1;
-        // Preserve version monotonicity for watched keys: clearing versions
-        // would let a flushed key look unmodified. Bump all watched-visible
-        // state by clearing — WATCH compares against a snapshot, so clearing
-        // versions would compare 0 == 0. Keep the map but reset values to
-        // the new counter.
-        for v in self.versions.values_mut() {
-            *v = self.version_counter;
-        }
+        self.removed_floor = self.bump();
     }
 
     /// Iterates all live entries (snapshot serialization).
@@ -324,43 +416,66 @@ impl Db {
     }
 
     /// Splits the keyspace into `n` partitions, assigning each key by
-    /// `stripe_of(slot)`. Entries move with their TTLs; per-key versions
-    /// restart from zero in each partition (the same semantics as loading
-    /// an RDB image, which is where the split happens in practice).
+    /// `stripe_of(slot)`. Whole entries move — TTLs and versions included —
+    /// with one hash insert each, and every partition continues this
+    /// keyspace's version counter and removed-key floor.
     pub fn split_by_slot(self, n: usize, stripe_of: impl Fn(u16) -> usize) -> Vec<Db> {
-        let mut out: Vec<Db> = (0..n.max(1)).map(|_| Db::new()).collect();
-        let last = out.len() - 1;
+        let n = n.max(1);
+        if n == 1 {
+            return vec![self];
+        }
+        let mut out: Vec<Db> = (0..n)
+            .map(|_| Db {
+                version_counter: self.version_counter,
+                removed_floor: self.removed_floor,
+                ..Db::with_capacity(self.entries.len() / n)
+            })
+            .collect();
+        let last = n - 1;
         for (key, entry) in self.entries {
             let idx = stripe_of(key_hash_slot(&key)).min(last);
             if let Some(db) = out.get_mut(idx) {
-                db.set_value(key.clone(), entry.value);
-                if entry.expire_at.is_some() {
-                    db.set_expiry(&key, entry.expire_at);
-                }
+                db.adopt(key, entry);
             }
         }
         out
     }
 
-    /// Moves every entry of `other` into this keyspace, keeping TTLs.
-    /// Existing keys are overwritten (the restore merge feeds disjoint
-    /// partitions, but overwrite semantics keep the call total). Per-key
-    /// versions restart like an RDB load, same as [`Db::split_by_slot`].
+    /// Moves every entry of `other` into this keyspace, TTLs and versions
+    /// included, one hash insert each. The restore merge feeds disjoint
+    /// partitions; a key present on both sides keeps `other`'s entry, so
+    /// the call is total.
     pub fn absorb(&mut self, other: Db) {
-        self.absorb_if(other, |_| true);
-    }
-
-    /// Like [`Db::absorb`] but keeps only entries whose key satisfies
-    /// `keep` — the incremental-restore merge uses this to skip keys whose
-    /// slot a newer snapshot chunk already provided authoritatively.
-    pub fn absorb_if(&mut self, other: Db, keep: impl Fn(&Bytes) -> bool) {
-        for (key, entry) in other.entries {
-            if !keep(&key) {
-                continue;
+        self.reserve(other.entries.len());
+        let base = self.key_list.len();
+        let mut overwritten = Vec::new();
+        for (key, mut entry) in other.entries {
+            entry.pos += base;
+            if let Some(old) = self.entries.insert(key, entry) {
+                overwritten.push(old);
             }
-            self.set_value(key.clone(), entry.value);
-            if entry.expire_at.is_some() {
-                self.set_expiry(&key, entry.expire_at);
+        }
+        self.key_list.extend(other.key_list);
+        for (mine, theirs) in self.slot_counts.iter_mut().zip(&other.slot_counts) {
+            *mine += theirs;
+        }
+        self.expires.extend(other.expires);
+        self.version_counter = self.version_counter.max(other.version_counter);
+        self.removed_floor = self.removed_floor.max(other.removed_floor);
+        // Each overwritten entry left a second listing of its key (and a
+        // second count) behind; unlist from the back so the positions of
+        // the ones still to go stay valid.
+        overwritten.sort_unstable_by_key(|old| std::cmp::Reverse(old.pos));
+        for old in overwritten {
+            let key = self.key_list.swap_remove(old.pos);
+            if let Some(moved) = self.key_list.get(old.pos) {
+                if let Some(e) = self.entries.get_mut(moved) {
+                    e.pos = old.pos;
+                }
+            }
+            self.slot_counts[key_hash_slot(&key) as usize] -= 1;
+            if old.expire_at.is_some() && self.expiry(&key).is_none() {
+                self.expires.remove(&key);
             }
         }
     }
@@ -371,32 +486,6 @@ impl Db {
             .iter()
             .map(|(k, e)| k.len() + e.value.approx_size() + 16)
             .sum()
-    }
-
-    fn index_insert(&mut self, key: Bytes) {
-        let slot = key_hash_slot(&key);
-        self.key_pos.insert(key.clone(), self.key_list.len());
-        self.key_list.push(key.clone());
-        self.slot_index.entry(slot).or_default().insert(key);
-    }
-
-    fn index_remove(&mut self, key: &[u8]) {
-        if let Some(pos) = self.key_pos.remove(key) {
-            let last = self.key_list.len() - 1;
-            self.key_list.swap(pos, last);
-            self.key_list.pop();
-            if pos < self.key_list.len() {
-                let moved = self.key_list[pos].clone();
-                self.key_pos.insert(moved, pos);
-            }
-        }
-        let slot = key_hash_slot(key);
-        if let Some(set) = self.slot_index.get_mut(&slot) {
-            set.remove(key);
-            if set.is_empty() {
-                self.slot_index.remove(&slot);
-            }
-        }
     }
 }
 
@@ -540,29 +629,223 @@ mod tests {
         assert_eq!(db.expiry(b"k"), Some(100));
     }
 
+    /// Every derived structure agrees with `entries`.
+    fn assert_consistent(db: &Db) {
+        assert_eq!(db.key_list.len(), db.entries.len());
+        for (key, e) in &db.entries {
+            assert_eq!(&db.key_list[e.pos], key, "listed position of {key:?}");
+            assert_eq!(db.expires.contains(key), e.expire_at.is_some());
+            assert!(e.version <= db.version_counter);
+        }
+        assert_eq!(
+            db.expires.len(),
+            db.expired_keys(u64::MAX, usize::MAX).len()
+        );
+        let mut counts = vec![0u32; NUM_SLOTS as usize];
+        for key in &db.key_list {
+            counts[key_hash_slot(key) as usize] += 1;
+        }
+        assert_eq!(db.slot_counts, counts);
+        assert!(db.removed_floor <= db.version_counter);
+    }
+
     #[test]
     fn absorb_moves_entries_with_ttls() {
         let mut a = Db::new();
         a.set_value(b("keep"), sval("old"));
         a.set_value(b("clash"), sval("mine"));
+        a.set_expiry(b"clash", Some(5));
+        a.set_value(b("clash2"), sval("mine"));
         let mut other = Db::new();
         other.set_value(b("clash"), sval("theirs"));
         other.set_value(b("ttl"), sval("v"));
         other.set_expiry(b"ttl", Some(777));
-        other.set_value(b("skipme"), sval("x"));
-        a.absorb_if(other, |k| k.as_ref() != b"skipme");
+        other.set_value(b("clash2"), sval("theirs"));
+        other.set_expiry(b"clash2", Some(9));
+        let ttl_version = other.version(b"ttl");
+        a.absorb(other);
         assert_eq!(a.lookup(b"keep", 0), Some(&sval("old")));
         assert_eq!(a.lookup(b"clash", 0), Some(&sval("theirs")));
+        assert_eq!(a.expiry(b"clash"), None);
+        assert_eq!(a.expiry(b"clash2"), Some(9));
         assert_eq!(a.lookup(b"ttl", 0), Some(&sval("v")));
         assert_eq!(a.expiry(b"ttl"), Some(777));
-        assert!(a.lookup(b"skipme", 0).is_none());
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.version(b"ttl"), ttl_version, "entries move whole");
+        assert_eq!(a.len(), 4);
+        assert_consistent(&a);
 
         let mut c = Db::new();
         c.set_value(b("z"), sval("1"));
         let mut d = Db::new();
         d.absorb(c);
         assert_eq!(d.lookup(b"z", 0), Some(&sval("1")));
+        assert_consistent(&d);
+    }
+
+    #[test]
+    fn split_then_absorb_is_the_identity() {
+        let mut db = Db::new();
+        for i in 0..500 {
+            let k = b(&format!("k{i}"));
+            db.set_value(k.clone(), sval(&format!("v{i}")));
+            if i % 3 == 0 {
+                db.set_expiry(&k, Some(1_000 + i));
+            }
+        }
+        db.remove(b"k7");
+        let before = db.clone();
+        let n = 4usize;
+        let parts = db.split_by_slot(n, |slot| slot as usize * n / NUM_SLOTS as usize);
+        assert_eq!(parts.len(), n);
+        assert!(parts.iter().all(|p| !p.is_empty()));
+        for (i, p) in parts.iter().enumerate() {
+            assert_consistent(p);
+            assert_eq!(p.version(b"k7"), before.version(b"k7"), "floor carries");
+            for key in &p.key_list {
+                assert_eq!(key_hash_slot(key) as usize * n / NUM_SLOTS as usize, i);
+            }
+        }
+        let mut parts = parts.into_iter();
+        let mut merged = parts.next().unwrap();
+        for p in parts {
+            merged.absorb(p);
+        }
+        assert_consistent(&merged);
+        assert_eq!(merged.len(), before.len());
+        for (key, e) in before.iter_entries() {
+            assert_eq!(merged.lookup(key, 0), Some(&e.value));
+            assert_eq!(merged.expiry(key), e.expire_at);
+            assert_eq!(merged.version(key), before.version(key));
+        }
+    }
+
+    #[test]
+    fn insert_loaded_is_one_insert_and_last_occurrence_wins() {
+        let mut db = Db::with_capacity(8);
+        db.insert_loaded(b("a"), sval("1"), None);
+        db.insert_loaded(b("t"), sval("2"), Some(50));
+        assert_eq!(db.dirty, 0, "a load is not a client write");
+        assert!(db.version(b"a") > 0);
+        assert_eq!(db.expiry(b"t"), Some(50));
+        // A hostile image may hold a key twice.
+        db.insert_loaded(b("t"), sval("3"), None);
+        db.insert_loaded(b("a"), sval("4"), Some(60));
+        assert_eq!(db.lookup(b"t", 0), Some(&sval("3")));
+        assert_eq!(db.expiry(b"t"), None);
+        assert_eq!(db.expiry(b"a"), Some(60));
+        assert_eq!(db.len(), 2);
+        assert_consistent(&db);
+    }
+
+    #[test]
+    fn churn_leaves_no_per_key_state_behind() {
+        // A session-key workload: every key is distinct, lives briefly and
+        // goes away by DEL, by expiry, or by FLUSHALL. Nothing per key may
+        // outlive the key.
+        use crate::cmd;
+        use crate::exec::{Engine, Role, SessionState};
+        let mut e = Engine::new(Role::Primary);
+        e.set_time_ms(1_000);
+        let mut s = SessionState::new();
+        for i in 0..50_000 {
+            let key = format!("session:{i}");
+            match i % 3 {
+                0 => {
+                    e.execute(&mut s, &cmd(["SET", &key, "v"]));
+                    e.execute(&mut s, &cmd(["DEL", &key]));
+                }
+                1 => {
+                    e.execute(&mut s, &cmd(["SET", &key, "v", "PX", "10"]));
+                }
+                _ => {
+                    e.execute(&mut s, &cmd(["RPUSH", &key, "a"]));
+                    e.execute(&mut s, &cmd(["LPOP", &key]));
+                }
+            }
+            if i == 25_000 {
+                e.execute(&mut s, &cmd(["FLUSHALL"]));
+            }
+        }
+        e.set_time_ms(2_000);
+        while !e.active_expire_cycle(1_000).is_empty() {}
+        let db = &e.db;
+        assert!(db.entries.is_empty());
+        assert!(db.key_list.is_empty());
+        assert!(db.expires.is_empty());
+        assert!(db.slot_counts.iter().all(|n| *n == 0));
+    }
+
+    #[test]
+    fn positions_survive_interleaved_inserts_and_removes() {
+        // Deterministic mixed workload against a model; the swap-remove
+        // bookkeeping lives in `Entry::pos`, so SCAN, RANDOMKEY and the
+        // slot views must agree with the model at every checkpoint.
+        let mut db = Db::new();
+        let mut model: std::collections::HashMap<Bytes, bool> = Default::default();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..6_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = b(&format!("{{t{}}}k{}", (x >> 40) % 37, (x >> 20) % 300));
+            match x % 5 {
+                0 | 1 => {
+                    db.set_value(key.clone(), sval("v"));
+                    model.insert(key, false);
+                }
+                2 => {
+                    db.set_value(key.clone(), sval("v"));
+                    db.set_expiry(&key, Some(10));
+                    model.insert(key, true);
+                }
+                _ => {
+                    assert_eq!(db.remove(&key).is_some(), model.remove(&key).is_some());
+                }
+            }
+            if step % 500 == 499 {
+                assert_consistent(&db);
+                // SCAN pages through exactly the model's keys.
+                let mut seen = HashSet::new();
+                let mut cursor = 0;
+                loop {
+                    let (next, keys) = db.scan(cursor, 17, None);
+                    for k in keys {
+                        assert!(seen.insert(k), "SCAN repeated a key without mutation");
+                    }
+                    if next == 0 {
+                        break;
+                    }
+                    cursor = next;
+                }
+                assert_eq!(seen, model.keys().cloned().collect());
+                // RANDOMKEY reaches every listed position and only live keys.
+                for idx in 0..db.len() {
+                    assert!(model.contains_key(db.random_key(idx).unwrap()));
+                }
+                // Slot views agree with the model, slot by slot.
+                for tag in 0..37 {
+                    let slot = key_hash_slot(format!("t{tag}").as_bytes());
+                    let want: HashSet<Bytes> = model
+                        .keys()
+                        .filter(|k| key_hash_slot(k) == slot)
+                        .cloned()
+                        .collect();
+                    assert_eq!(db.count_keys_in_slot(slot), want.len());
+                    let got: HashSet<Bytes> = db.keys_in_slot(slot).into_iter().collect();
+                    assert_eq!(got, want);
+                }
+            }
+        }
+        // delete_slot removes exactly that slot's keys.
+        let slot = key_hash_slot(b"t5");
+        let doomed = db.count_keys_in_slot(slot);
+        assert!(doomed > 0);
+        let before = db.len();
+        assert_eq!(db.delete_slot(slot), doomed);
+        assert_eq!(db.len(), before - doomed);
+        assert_eq!(db.count_keys_in_slot(slot), 0);
+        assert!(db.keys_in_slot(slot).is_empty());
+        assert_consistent(&db);
     }
 
     #[test]

@@ -849,6 +849,82 @@ fn watch_passes_without_conflict() {
     );
 }
 
+/// WATCH `watched`, let another session run `between`, then MULTI/SET/EXEC:
+/// did the transaction abort?
+fn watch_aborted(setup: &[&[&str]], watched: &str, between: &[&[&str]]) -> bool {
+    let mut e = engine();
+    let mut s = SessionState::new();
+    let mut other = SessionState::new();
+    for c in setup {
+        e.execute(&mut other, &cmd(c.iter().copied()));
+    }
+    e.execute(&mut s, &cmd(["WATCH", watched]));
+    for c in between {
+        assert!(!e
+            .execute(&mut other, &cmd(c.iter().copied()))
+            .reply
+            .is_error());
+    }
+    e.execute(&mut s, &cmd(["MULTI"]));
+    e.execute(&mut s, &cmd(["SET", "mine", "1"]));
+    e.execute(&mut s, &cmd(["EXEC"])).reply == Frame::Null
+}
+
+#[test]
+fn watch_on_absent_key_sees_create_then_delete() {
+    // The key is absent at WATCH and absent again at EXEC, but it was
+    // modified in between: the removed-key floor must have moved.
+    assert!(watch_aborted(
+        &[],
+        "k",
+        &[&["SET", "k", "v"], &["DEL", "k"]]
+    ));
+    // Creation alone is seen too, and so is a flush of the created key.
+    assert!(watch_aborted(&[], "k", &[&["SET", "k", "v"]]));
+    assert!(watch_aborted(
+        &[],
+        "k",
+        &[&["SET", "k", "v"], &["FLUSHALL"]]
+    ));
+    // Nothing happened at all: the transaction runs.
+    assert!(!watch_aborted(&[], "k", &[]));
+}
+
+#[test]
+fn watch_sees_delete_and_recreate_with_the_same_value() {
+    assert!(watch_aborted(
+        &[&["SET", "k", "v"]],
+        "k",
+        &[&["DEL", "k"], &["SET", "k", "v"]]
+    ));
+    // Setting a TTL and clearing it again leaves the same entry, modified.
+    assert!(watch_aborted(
+        &[&["SET", "k", "v"]],
+        "k",
+        &[&["EXPIRE", "k", "100"], &["PERSIST", "k"]]
+    ));
+}
+
+#[test]
+fn watch_on_present_key_ignores_unrelated_keys() {
+    // `other` hashes to a different slot; writing and even deleting it
+    // (which raises the removed-key floor) leaves a present key's version
+    // alone.
+    assert_ne!(
+        crate::slots::key_hash_slot(b"k"),
+        crate::slots::key_hash_slot(b"other")
+    );
+    assert!(!watch_aborted(
+        &[&["SET", "k", "v"], &["SET", "other", "1"]],
+        "k",
+        &[
+            &["SET", "other", "2"],
+            &["DEL", "other"],
+            &["SET", "new", "3"]
+        ]
+    ));
+}
+
 #[test]
 fn nested_multi_and_watch_inside_multi_rejected() {
     let mut e = engine();

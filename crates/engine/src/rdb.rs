@@ -45,30 +45,40 @@ impl std::error::Error for RdbError {}
 
 // --- CRC64 (ECMA-182, the polynomial Redis uses for RDB) ------------------
 
-fn crc64_table() -> &'static [u64; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        const POLY: u64 = 0xad93d23594c935a9; // reflected ECMA-182
-        let mut table = [0u64; 256];
+/// Slice-by-8 tables: `CRC64_TABLES[0]` is the classic byte-at-a-time table
+/// and `CRC64_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight input bytes fold into the state with eight independent
+/// lookups. Same polynomial, same digest as the one-table loop.
+const CRC64_TABLES: [[u64; 256]; 8] = {
+    const POLY: u64 = 0xad93d23594c935a9; // reflected ECMA-182
+    let mut tables = [[0u64; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u64;
+        let mut j = 0;
+        while j < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            j += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u64;
-            let mut j = 0;
-            while j < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-                j += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    })
-}
+        k += 1;
+    }
+    tables
+};
 
 /// Streaming CRC64 (Jones/Redis variant): feed chunks, read the digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,12 +98,26 @@ impl Crc64 {
         Crc64 { state: 0 }
     }
 
-    /// Absorbs bytes.
+    /// Absorbs bytes, eight at a time while they last.
     pub fn update(&mut self, data: &[u8]) {
-        let table = crc64_table();
-        for &b in data {
-            self.state = table[((self.state ^ b as u64) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = &CRC64_TABLES;
+        let mut crc = self.state;
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let w = crc ^ u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+            crc = t[7][(w & 0xFF) as usize]
+                ^ t[6][((w >> 8) & 0xFF) as usize]
+                ^ t[5][((w >> 16) & 0xFF) as usize]
+                ^ t[4][((w >> 24) & 0xFF) as usize]
+                ^ t[3][((w >> 32) & 0xFF) as usize]
+                ^ t[2][((w >> 40) & 0xFF) as usize]
+                ^ t[1][((w >> 48) & 0xFF) as usize]
+                ^ t[0][(w >> 56) as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     /// Current digest.
@@ -476,55 +500,124 @@ pub fn dump_multi(dbs: &[&Db]) -> Vec<u8> {
 /// the same envelope as [`dump`], so [`load`] decodes it unchanged, but
 /// restricted to a slot range so deltas ship only dirtied slots.
 pub fn dump_slot_range(dbs: &[&Db], lo: u16, hi: u16) -> Vec<u8> {
-    dump_entries(
-        dbs.iter()
-            .flat_map(|db| db.iter_entries())
-            .filter(|(key, _)| {
-                let slot = crate::slots::key_hash_slot(key);
-                (lo..=hi).contains(&slot)
-            })
-            .collect(),
-    )
+    dump_slot_ranges(dbs, &[(lo, hi)]).pop().unwrap_or_default()
+}
+
+/// [`dump_slot_range`] for every range of `ranges` (ascending, disjoint) in
+/// one pass over the keyspace: each key's slot is computed once and the
+/// entry lands in the bucket of the range holding it, or nowhere.
+pub fn dump_slot_ranges(dbs: &[&Db], ranges: &[(u16, u16)]) -> Vec<Vec<u8>> {
+    let mut buckets: Vec<Vec<(&Bytes, &crate::db::Entry)>> = vec![Vec::new(); ranges.len()];
+    for (key, entry) in dbs.iter().flat_map(|db| db.iter_entries()) {
+        let slot = crate::slots::key_hash_slot(key);
+        let i = ranges.partition_point(|r| r.1 < slot);
+        if let (Some(r), Some(bucket)) = (ranges.get(i), buckets.get_mut(i)) {
+            if r.0 <= slot {
+                bucket.push((key, entry));
+            }
+        }
+    }
+    buckets.into_iter().map(dump_entries).collect()
+}
+
+/// The one snapshot decoder: checks the envelope of a blob produced by
+/// [`dump`] (length, CRC64 trailer, magic, version) up front, then yields
+/// its `(key, value, expiry)` entries one at a time. Nothing is indexed
+/// here — [`load`] feeds a [`Db`], the chunked restore feeds its slot
+/// partitions, the snapshot rehearsal only counts.
+pub struct Entries<'a> {
+    r: Reader<'a>,
+    left: u64,
+    blob_crc: u64,
+}
+
+impl<'a> Entries<'a> {
+    /// Verifies the envelope of `data` and positions at the first entry.
+    /// The blob's bytes are checksummed here, once.
+    pub fn open(data: &'a [u8]) -> Result<Entries<'a>, RdbError> {
+        if data.len() < MAGIC.len() + 4 + 8 + 8 {
+            return Err(RdbError::Corrupt("too short"));
+        }
+        let (payload, trailer) = data.split_at(data.len() - 8);
+        let mut crc = Crc64::new();
+        crc.update(payload);
+        if crc.digest().to_le_bytes() != trailer {
+            return Err(RdbError::ChecksumMismatch);
+        }
+        crc.update(trailer);
+        if &payload[..4] != MAGIC {
+            return Err(RdbError::BadMagic);
+        }
+        let mut r = Reader {
+            data: payload,
+            pos: 4,
+        };
+        let version = r.u32()?;
+        if version != FORMAT_VERSION {
+            return Err(RdbError::BadVersion(version));
+        }
+        let left = r.u64()?;
+        Ok(Entries {
+            r,
+            left,
+            blob_crc: crc.digest(),
+        })
+    }
+
+    /// Entries still to come by the header's count, capped like every
+    /// other length read from input, so pre-sizing from it cannot reserve
+    /// unbounded memory for a hostile count.
+    pub fn size_hint_capped(&self) -> usize {
+        self.left.min(1 << 20) as usize
+    }
+
+    /// CRC64 of the whole blob, trailer included — what a manifest's chunk
+    /// reference records — continued from the envelope check rather than
+    /// computed in a second pass.
+    pub fn blob_crc(&self) -> u64 {
+        self.blob_crc
+    }
+
+    fn read_entry(&mut self) -> Result<(Bytes, Value, Option<u64>), RdbError> {
+        let key = self.r.bytes()?;
+        let expire_at = match self.r.u8()? {
+            0 => None,
+            1 => Some(self.r.u64()?),
+            _ => return Err(RdbError::Corrupt("bad expiry tag")),
+        };
+        Ok((key, read_value(&mut self.r)?, expire_at))
+    }
+}
+
+impl Iterator for Entries<'_> {
+    type Item = Result<(Bytes, Value, Option<u64>), RdbError>;
+
+    /// The next entry; after the declared count, one last check that the
+    /// payload is exhausted. Any error ends the iteration.
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = if self.left > 0 {
+            self.left -= 1;
+            self.read_entry()
+        } else if self.r.pos != self.r.data.len() {
+            Err(RdbError::Corrupt("trailing bytes"))
+        } else {
+            return None;
+        };
+        if item.is_err() {
+            self.left = 0;
+            self.r.pos = self.r.data.len();
+        }
+        Some(item)
+    }
 }
 
 /// Loads a snapshot produced by [`dump`], verifying the CRC64 trailer.
 pub fn load(data: &[u8]) -> Result<Db, RdbError> {
-    if data.len() < MAGIC.len() + 4 + 8 + 8 {
-        return Err(RdbError::Corrupt("too short"));
-    }
-    let (payload, trailer) = data.split_at(data.len() - 8);
-    let stored_crc = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    if crc64(payload) != stored_crc {
-        return Err(RdbError::ChecksumMismatch);
-    }
-    if &payload[..4] != MAGIC {
-        return Err(RdbError::BadMagic);
-    }
-    let mut r = Reader {
-        data: payload,
-        pos: 4,
-    };
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(RdbError::BadVersion(version));
-    }
-    let count = r.u64()?;
-    let mut db = Db::new();
-    for _ in 0..count {
-        let key = r.bytes()?;
-        let expire_at = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            _ => return Err(RdbError::Corrupt("bad expiry tag")),
-        };
-        let value = read_value(&mut r)?;
-        db.set_value(key.clone(), value);
-        if expire_at.is_some() {
-            db.set_expiry(&key, expire_at);
-        }
-    }
-    if r.pos != payload.len() {
-        return Err(RdbError::Corrupt("trailing bytes"));
+    let entries = Entries::open(data)?;
+    let mut db = Db::with_capacity(entries.size_hint_capped());
+    for entry in entries {
+        let (key, value, expire_at) = entry?;
+        db.insert_loaded(key, value, expire_at);
     }
     Ok(db)
 }
@@ -625,6 +718,73 @@ mod tests {
     }
 
     #[test]
+    fn dump_slot_ranges_buckets_like_a_filter_per_range() {
+        let e = populated_engine();
+        // Gaps between ranges, a single-slot range, and slots no key has.
+        let ranges = [(0u16, 900u16), (5061, 5061), (6000, 12000), (12183, 16383)];
+        let blobs = dump_slot_ranges(&[&e.db], &ranges);
+        assert_eq!(blobs.len(), ranges.len());
+        let mut held = 0;
+        for (&(lo, hi), blob) in ranges.iter().zip(&blobs) {
+            let mut want = Db::new();
+            for (key, entry) in e.db.iter_entries() {
+                if (lo..=hi).contains(&crate::slots::key_hash_slot(key)) {
+                    want.insert_loaded(key.clone(), entry.value.clone(), entry.expire_at);
+                }
+            }
+            assert_eq!(blob, &dump(&want), "range {lo}..={hi}");
+            assert_eq!(blob, &dump_slot_range(&[&e.db], lo, hi));
+            held += want.len();
+        }
+        assert!(
+            held > 0 && held < e.db.len(),
+            "ranges must hold some keys, not all"
+        );
+        assert!(dump_slot_ranges(&[&e.db], &[]).is_empty());
+    }
+
+    #[test]
+    fn entries_stream_what_load_indexes_and_check_the_payload_end() {
+        let e = populated_engine();
+        let snapshot = dump(&e.db);
+        let entries = Entries::open(&snapshot).unwrap();
+        assert_eq!(entries.size_hint_capped(), e.db.len());
+        assert_eq!(entries.blob_crc(), crc64(&snapshot));
+        let mut n = 0;
+        for entry in entries {
+            let (key, value, expire_at) = entry.unwrap();
+            assert_eq!(e.db.lookup(&key, 0), Some(&value));
+            assert_eq!(e.db.expiry(&key), expire_at);
+            n += 1;
+        }
+        assert_eq!(n, e.db.len());
+
+        // A header that declares one entry fewer leaves bytes behind; one
+        // more runs off the end. Both fail, once, then the stream ends.
+        for delta in [-1i64, 1] {
+            let mut forged = snapshot.clone();
+            let count = (e.db.len() as i64 + delta) as u64;
+            forged[8..16].copy_from_slice(&count.to_le_bytes());
+            let len = forged.len();
+            let crc = crc64(&forged[..len - 8]);
+            forged[len - 8..].copy_from_slice(&crc.to_le_bytes());
+            let mut entries = Entries::open(&forged).unwrap();
+            let err = entries.find_map(Result::err).expect("must fail");
+            assert!(matches!(err, RdbError::Corrupt(_)), "{err}");
+            assert!(entries.next().is_none(), "an error ends the stream");
+            assert!(load(&forged).is_err());
+        }
+        // A hostile count cannot drive the pre-sizing.
+        let mut forged = snapshot.clone();
+        forged[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let len = forged.len();
+        let crc = crc64(&forged[..len - 8]);
+        forged[len - 8..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(Entries::open(&forged).unwrap().size_hint_capped(), 1 << 20);
+        assert!(load(&forged).is_err());
+    }
+
+    #[test]
     fn checksum_detects_corruption() {
         let e = populated_engine();
         let mut snapshot = dump(&e.db);
@@ -687,5 +847,21 @@ mod tests {
         c.update(b"1234");
         c.update(b"56789");
         assert_eq!(c.digest(), a);
+    }
+
+    #[test]
+    fn crc64_slice_by_8_matches_the_bytewise_loop() {
+        fn bytewise(data: &[u8]) -> u64 {
+            data.iter().fold(0u64, |crc, &b| {
+                CRC64_TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8)
+            })
+        }
+        let data: Vec<u8> = (0..257u32).map(|i| (i * 131 + i / 7) as u8).collect();
+        for start in 0..9 {
+            for len in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 200] {
+                let piece = &data[start..start + len];
+                assert_eq!(crc64(piece), bytewise(piece), "start {start} len {len}");
+            }
+        }
     }
 }

@@ -8,20 +8,35 @@
 /// Total number of cluster slots.
 pub const NUM_SLOTS: u16 = 16384;
 
+/// Byte-at-a-time lookup table for [`crc16`], built at compile time from
+/// the polynomial so the table and the bitwise definition cannot drift.
+const CRC16_TABLE: [u16; 256] = {
+    const POLY: u16 = 0x1021;
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ POLY
+            } else {
+                crc << 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC16-CCITT (XModem variant, polynomial 0x1021), the exact function
 /// Redis Cluster specifies.
 pub fn crc16(data: &[u8]) -> u16 {
-    const POLY: u16 = 0x1021;
     let mut crc: u16 = 0;
     for &byte in data {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ POLY;
-            } else {
-                crc <<= 1;
-            }
-        }
+        crc = (crc << 8) ^ CRC16_TABLE[((crc >> 8) as u8 ^ byte) as usize];
     }
     crc
 }
@@ -53,6 +68,28 @@ mod tests {
         // Vector from the Redis Cluster specification.
         assert_eq!(crc16(b"123456789"), 0x31C3);
         assert_eq!(crc16(b""), 0x0000);
+    }
+
+    #[test]
+    fn table_matches_bitwise_definition() {
+        fn bitwise(data: &[u8]) -> u16 {
+            let mut crc: u16 = 0;
+            for &byte in data {
+                crc ^= (byte as u16) << 8;
+                for _ in 0..8 {
+                    crc = if crc & 0x8000 != 0 {
+                        (crc << 1) ^ 0x1021
+                    } else {
+                        crc << 1
+                    };
+                }
+            }
+            crc
+        }
+        let data: Vec<u8> = (0..600u32).map(|i| (i * 7 + i / 13) as u8).collect();
+        for len in [0, 1, 2, 3, 9, 64, 255, 600] {
+            assert_eq!(crc16(&data[..len]), bitwise(&data[..len]), "len {len}");
+        }
     }
 
     #[test]

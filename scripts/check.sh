@@ -26,21 +26,21 @@
 #             group commit): at K=1 every command must append exactly
 #             once; the smoke rows land in BENCH_log_latency.json. Also
 #             runs restore_mttr --smoke
-#             (§4.2 + DESIGN.md §14 incremental snapshots / parallel
+#             (§4.2 + DESIGN.md §14 incremental snapshots / partitioned
 #             restore): every row must restore a complete image at both
-#             worker counts, and on hosts with >=4 cores the parallel
-#             restore of the largest (10x) dataset must beat the
-#             sequential path by >=2x (skipped below 4 cores, where
-#             restore workers only time-share one CPU); the smoke rows
+#             worker counts, the sequential and the parallel restore must
+#             dump to identical bytes, and neither may take more than 2x
+#             as long as the other (no core-count skip); the smoke rows
 #             land in BENCH_restore_mttr.json.
 #
 #   alloc-census — the §15 zero-copy allocation gate, opt in with
 #             --alloc-census (also folded into --metrics-smoke):
 #             alloc_census --smoke counts allocations-per-command on the
-#             K=1 multiplexed GET/SET path with a counting global
-#             allocator. Every workload must stay under its pinned
-#             absolute budget AND >=50% below the committed pre-PR
-#             baseline. This gate has NO core-count skip-guard — it runs
+#             K=1 multiplexed GET/SET path, and allocations per restored
+#             key of a sequential 16-chunk restore (restore_16chunk), with
+#             a counting global allocator. Every workload must stay under
+#             its pinned absolute budget AND >=50% below the committed
+#             pre-PR baseline. This gate has NO core-count skip-guard — it runs
 #             (and is meaningful) on a 1-core box. Rows land in
 #             BENCH_alloc.json.
 #
