@@ -225,12 +225,10 @@ pub(crate) fn fold_entry_deferred(
     my_version: EngineVersion,
 ) -> Result<DeferredWork, HaltReason> {
     debug_assert_eq!(entry.id, rs.applied.next(), "entries must apply in order");
-    // Both record formats coexist in one log (restore compatibility): v2
-    // length-prefixed frames with a per-record CRC, and the legacy tag
-    // encoding from before the frame format. The frame check pins
-    // corruption to the exact record — a CRC mismatch halts with the typed
-    // frame error naming this entry, instead of a generic decode failure.
-    let record = match Record::decode_any(&entry.payload) {
+    // The frame check pins corruption to the exact record: a bad magic (an
+    // unframed payload) or a CRC mismatch halts with the typed frame error
+    // naming this entry, instead of a generic decode failure.
+    let record = match Record::decode_framed(&entry.payload) {
         Ok(record) => record,
         Err(e) => {
             let halt = HaltReason::EffectFailed(format!("record at {}: {e}", entry.id));
@@ -386,7 +384,7 @@ mod tests {
     fn entry(id: u64, rec: &Record) -> LogEntry {
         LogEntry {
             id: EntryId(id),
-            payload: rec.encode(),
+            payload: rec.encode_framed(),
             chain_checksum: 0,
         }
     }
@@ -624,7 +622,7 @@ mod tests {
             },
         ];
         for (i, rec) in recs.iter().enumerate() {
-            let payload = rec.encode();
+            let payload = rec.encode_framed();
             fold_appended_payload(&mut producer, EntryId(i as u64 + 1), &payload, false);
             apply_entry(
                 &mut engine,
@@ -737,55 +735,35 @@ mod tests {
         assert_eq!(total, 0, "migrated slot data deleted from its stripe");
     }
 
-    /// Mixed-format replay (restore compatibility): a log whose prefix was
-    /// written in the legacy tag encoding and whose suffix uses v2 frames
-    /// must apply seamlessly, and the producer-side fold (which chains over
-    /// the raw payload bytes, framed or not) must still match the consumer.
+    /// A v1 payload — the bare tag-level body, here a hand-built
+    /// `[TAG_CHECKSUM][u64]` that would verify against a fresh state — is
+    /// not a log record: replay halts with the bad-magic frame error naming
+    /// the entry instead of applying it unchecked.
     #[test]
-    fn mixed_legacy_and_framed_entries_apply_with_matching_checksums() {
+    fn unframed_v1_payload_halts_with_bad_magic_at_entry() {
         let mut engine = Engine::new(Role::Replica);
-        let mut consumer = ReplicaState::new();
-        let mut producer = ReplicaState::new();
-        let recs = [
-            Record::Effects {
-                version: EngineVersion::CURRENT,
-                effects: vec![cmd(["SET", "old", "1"])],
-            },
-            Record::LeaseRenewal {
-                node: 1,
-                epoch: 1,
-                lease_ms: 100,
-            },
-            Record::Effects {
-                version: EngineVersion::CURRENT,
-                effects: vec![cmd(["SET", "new", "2"])],
-            },
-        ];
-        for (i, rec) in recs.iter().enumerate() {
-            // Legacy encoding for the prefix, framed for the suffix.
-            let payload = if i < 1 {
-                rec.encode()
-            } else {
-                rec.encode_framed()
-            };
-            fold_appended_payload(&mut producer, EntryId(i as u64 + 1), &payload, false);
-            let e = LogEntry {
-                id: EntryId(i as u64 + 1),
-                payload,
-                chain_checksum: 0,
-            };
-            apply_entry(&mut engine, &mut consumer, &e, EngineVersion::CURRENT).unwrap();
-        }
-        assert_eq!(producer.running_crc, consumer.running_crc);
-        assert_eq!(consumer.applied, EntryId(3));
-        let mut s = SessionState::new();
-        assert_eq!(
-            engine.execute(&mut s, &cmd(["GET", "new"])).reply,
-            memorydb_engine::Frame::Bulk(Bytes::from_static(b"2"))
+        let mut rs = ReplicaState::new();
+        let mut raw = vec![5u8];
+        raw.extend_from_slice(&0u64.to_le_bytes());
+        let v1 = LogEntry {
+            id: EntryId(1),
+            payload: Bytes::from(raw),
+            chain_checksum: 0,
+        };
+        let err = apply_entry(&mut engine, &mut rs, &v1, EngineVersion::CURRENT).unwrap_err();
+        let HaltReason::EffectFailed(msg) = err else {
+            panic!("expected EffectFailed, got {err:?}");
+        };
+        assert!(msg.contains("record at #1"), "names the entry: {msg}");
+        assert!(
+            msg.contains(&crate::record::FrameError::BadMagic.to_string()),
+            "typed bad-magic error: {msg}"
         );
+        assert_eq!(rs.applied, EntryId::ZERO);
+        assert!(rs.halted.is_some());
     }
 
-    /// A corrupted v2 frame (flipped body byte) halts with the typed CRC
+    /// A corrupted frame (flipped body byte) halts with the typed CRC
     /// error naming the exact entry — not a generic decode failure.
     #[test]
     fn corrupted_frame_halts_with_crc_error_at_entry() {
@@ -821,7 +799,7 @@ mod tests {
     fn garbage_log_payloads_halt_without_panicking() {
         let payloads: [&[u8]; 5] = [
             b"",                       // empty
-            b"\xff\xff\xff\xff",       // no known record tag
+            b"\xff\xff\xff\xff",       // no frame magic
             b"\x00",                   // truncated header
             b"{\"not\":\"a record\"}", // wrong encoding entirely
             &[0u8; 64],                // zero padding

@@ -24,7 +24,7 @@
 //! | §5.1 monitoring (external + internal views) | [`monitor`], [`bus`] |
 //! | §5.2 scaling & slot migration (2PC) | [`migration`], [`cluster`], [`shard`] |
 //! | §7.1 upgrade protection | [`apply`], `memorydb_engine::version` |
-//! | §7.2.1 snapshot verification | [`offbox`], [`snapshot`], [`apply`] |
+//! | §7.2.1 snapshot verification | [`offbox`], [`manifest`], [`apply`] |
 
 pub mod apply;
 pub mod bus;
@@ -45,7 +45,6 @@ pub mod scheduler;
 pub mod serve;
 pub mod shard;
 pub mod slotset;
-pub mod snapshot;
 pub mod stripes;
 pub mod tracker;
 
@@ -66,7 +65,6 @@ pub use scheduler::SnapshotScheduler;
 pub use serve::SubmittedBatch;
 pub use shard::{NodeIdGen, Shard};
 pub use slotset::SlotSet;
-pub use snapshot::ShardSnapshot;
 pub use stripes::{slot_range_of, stripe_of, EngineStripes, StripeGuards};
 pub use tracker::Tracker;
 

@@ -1,9 +1,8 @@
 //! Incremental snapshot manifests and chain resolution (DESIGN.md §14).
 //!
-//! A full-state `ShardSnapshot` blob scales its upload with the whole
-//! dataset even when only a sliver changed between snapshot cycles. The
-//! incremental format splits a snapshot into a small **manifest** plus
-//! chunked per-slot-range **blobs**:
+//! The one snapshot format. Uploading the whole dataset when only a sliver
+//! changed between snapshot cycles does not scale, so a snapshot is a small
+//! **manifest** plus chunked per-slot-range **blobs**:
 //!
 //! * a **full** manifest (`chain_len == 0`, `base == EntryId::ZERO`) chunks
 //!   the entire keyspace into contiguous slot ranges;
@@ -22,8 +21,7 @@
 //! also how deletions propagate, since a dirtied-but-now-empty slot still
 //! claims its range.
 //!
-//! Store layout (separate prefixes so the legacy `snapshots/` namespace and
-//! its ordering stay intact):
+//! Store layout:
 //!
 //! ```text
 //! snapmeta/{shard}/{covered:020}                 manifest (publication point)
@@ -35,15 +33,33 @@
 //! publication-point discipline as put-before-trim, see [`crate::offbox`]).
 
 use crate::slotset::SlotSet;
-use crate::snapshot::{ShardSnapshot, SnapshotError};
-use crate::stripes::{slot_range_of, stripe_of};
+use crate::stripes::slot_range_of;
 use bytes::Bytes;
 use memorydb_engine::rdb::{self, crc64};
 use memorydb_engine::{key_hash_slot, Db, EngineVersion};
 use memorydb_objectstore::ObjectStore;
 use memorydb_txlog::EntryId;
 
-const MAGIC: &[u8; 4] = b"MDSM";
+/// Manifest v2. v1 (`MDSM`) recorded a whole-blob chunk CRC that was zero
+/// by construction; it fails the magic check like any foreign blob.
+const MAGIC: &[u8; 4] = b"MDS2";
+
+/// Errors decoding or verifying a snapshot manifest or one of its chunks.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SnapshotError {
+    /// The blob is structurally invalid or its checksum fails.
+    Corrupt(String),
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 /// Longest base-pointer walk we will follow before declaring a cycle. Far
 /// above any real `snapshot_max_chain`; guards against a corrupted or
@@ -60,7 +76,10 @@ pub struct ChunkRef {
     pub hi: u16,
     /// Size of the stored blob in bytes.
     pub len: u64,
-    /// CRC64 of the stored blob (verified before decode on restore).
+    /// CRC64 of the blob's payload — every byte before its 8-byte trailer,
+    /// i.e. the value that trailer stores (verified before decode on
+    /// restore). Together with `len` it binds the reference to one chunk's
+    /// content: a stale or swapped blob at the same key fails the check.
     pub crc: u64,
 }
 
@@ -141,8 +160,7 @@ impl SnapshotManifest {
 
     /// Parses and integrity-checks a blob produced by [`encode`]. Every
     /// declared count is validated against the remaining buffer before any
-    /// allocation sized from it (the same discipline as
-    /// [`ShardSnapshot::decode`]).
+    /// allocation sized from it.
     ///
     /// [`encode`]: SnapshotManifest::encode
     pub fn decode(data: &[u8]) -> Result<SnapshotManifest, SnapshotError> {
@@ -165,6 +183,9 @@ impl SnapshotManifest {
         }
         impl<'a> Cur<'a> {
             fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+                // Checked arithmetic: `n` comes from untrusted length fields,
+                // so `p + n` must not be allowed to wrap before the range
+                // check sees it.
                 let end = self
                     .p
                     .checked_add(n)
@@ -354,56 +375,27 @@ pub fn resolve_chain(
     Ok(SnapshotChain { manifests })
 }
 
-/// One restorable snapshot candidate found in the object store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotCandidate {
-    /// A legacy monolithic `ShardSnapshot` blob at this covered position.
-    Legacy(EntryId),
-    /// An incremental manifest (chain head) at this covered position.
-    Manifest(EntryId),
-}
-
-impl SnapshotCandidate {
-    /// Covered position of the candidate.
-    pub fn covered(&self) -> EntryId {
-        match self {
-            SnapshotCandidate::Legacy(id) | SnapshotCandidate::Manifest(id) => *id,
-        }
-    }
-}
-
-/// Lists every snapshot candidate of a shard, newest first. Manifests and
-/// legacy blobs are interleaved by covered position; at equal positions the
-/// manifest wins (chunked restore parallelizes, the blob does not).
-pub fn list_candidates(store: &ObjectStore, shard_name: &str) -> Vec<SnapshotCandidate> {
-    fn covered_of(key: &str) -> Option<EntryId> {
-        key.rsplit('/').next()?.parse::<u64>().ok().map(EntryId)
-    }
-    let mut out = Vec::new();
-    for meta in store.list(&format!("snapmeta/{shard_name}/")) {
-        if let Some(id) = covered_of(&meta.key) {
-            out.push(SnapshotCandidate::Manifest(id));
-        }
-    }
-    for meta in store.list(&format!("snapshots/{shard_name}/")) {
-        if let Some(id) = covered_of(&meta.key) {
-            out.push(SnapshotCandidate::Legacy(id));
-        }
-    }
-    // Newest first; manifest before legacy at the same position.
-    out.sort_by_key(|c| {
-        let manifest_first = matches!(c, SnapshotCandidate::Legacy(_));
-        (std::cmp::Reverse(c.covered()), manifest_first)
-    });
+/// Covered positions of every manifest a shard has published, newest
+/// first — the candidates a restore walks.
+pub fn list_candidates(store: &ObjectStore, shard_name: &str) -> Vec<EntryId> {
+    let mut out: Vec<EntryId> = store
+        .list(&format!("snapmeta/{shard_name}/"))
+        .iter()
+        .filter_map(|meta| meta.key.rsplit('/').next()?.parse::<u64>().ok())
+        .map(EntryId)
+        .collect();
+    out.sort_by_key(|&covered| std::cmp::Reverse(covered));
     out
 }
 
 /// A materialized point-in-time image — everything restore needs before log
-/// replay, whether it came from a legacy blob or an incremental chain.
+/// replay.
 #[derive(Debug)]
 pub struct SnapshotImage {
     /// The keyspace at `covered`, as the `k` disjoint slot-range
     /// partitions ([`stripe_of`]`(slot, k)`) the caller asked for.
+    ///
+    /// [`stripe_of`]: crate::stripes::stripe_of
     pub parts: Vec<Db>,
     /// Last transaction-log entry included.
     pub covered: EntryId,
@@ -419,8 +411,6 @@ pub struct SnapshotImage {
     pub chain_len: u32,
     /// Covered position of the anchoring full snapshot.
     pub full_covered: EntryId,
-    /// Whether the image came from a chunked manifest chain.
-    pub from_manifest: bool,
     /// Whether the image came from the newest candidate in the store (a
     /// fallback past a broken newer candidate clears this; the off-box
     /// snapshotter then forces a full snapshot rather than extending a
@@ -429,9 +419,10 @@ pub struct SnapshotImage {
 }
 
 /// Fetches the newest restorable snapshot image, degrading candidate by
-/// candidate: a corrupt blob, broken chain, or corrupt/unfetchable chunk
-/// fails only that candidate. The image comes back as `partitions` (min 1)
-/// slot-range partitions, each decoded on its own thread. Returns
+/// candidate: a corrupt manifest, broken chain, or corrupt, mismatched or
+/// unfetchable chunk fails only that candidate. The image comes back as
+/// `partitions` (min 1) slot-range partitions, each decoded on its own
+/// thread. Returns
 /// `Ok(None)` on an empty store and the last error when candidates exist
 /// but none restores.
 pub fn fetch_latest_image(
@@ -444,8 +435,8 @@ pub fn fetch_latest_image(
         return Ok(None);
     }
     let mut last_err = SnapshotError::Corrupt("no restorable snapshot".into());
-    for (i, cand) in candidates.iter().enumerate() {
-        match materialize(store, shard_name, cand, partitions.max(1)) {
+    for (i, &covered) in candidates.iter().enumerate() {
+        match materialize(store, shard_name, covered, partitions.max(1)) {
             Ok(mut image) => {
                 image.newest = i == 0;
                 return Ok(Some(image));
@@ -457,90 +448,53 @@ pub fn fetch_latest_image(
 }
 
 /// Covered position of the newest snapshot whose *metadata* verifies: the
-/// legacy blob decodes, or the manifest chain resolves down to its full
-/// base. Cheap relative to [`fetch_latest_image`] — chunk blobs are not
-/// fetched — so monitoring can sample freshness without materializing a
-/// keyspace. `None` when no candidate verifies.
+/// manifest chain resolves down to its full base. Cheap relative to
+/// [`fetch_latest_image`] — chunk blobs are not fetched — so monitoring can
+/// sample freshness without materializing a keyspace. `None` when no
+/// candidate verifies.
 pub fn newest_restorable_covered(store: &ObjectStore, shard_name: &str) -> Option<EntryId> {
-    for cand in list_candidates(store, shard_name) {
-        let ok = match &cand {
-            SnapshotCandidate::Legacy(covered) => {
-                let key = ShardSnapshot::store_key(shard_name, *covered);
-                store
-                    .get(&key)
-                    .ok()
-                    .is_some_and(|(_, blob)| ShardSnapshot::decode(&blob).is_ok())
-            }
-            SnapshotCandidate::Manifest(covered) => {
-                SnapshotManifest::fetch_at(store, shard_name, *covered)
-                    .and_then(|head| resolve_chain(store, shard_name, head))
-                    .is_ok()
-            }
-        };
-        if ok {
-            return Some(cand.covered());
-        }
-    }
-    None
+    list_candidates(store, shard_name)
+        .into_iter()
+        .find(|&covered| {
+            SnapshotManifest::fetch_at(store, shard_name, covered)
+                .and_then(|head| resolve_chain(store, shard_name, head))
+                .is_ok()
+        })
 }
 
-/// Materializes one candidate into an image (`newest` left true; the caller
-/// that walked the candidate list sets it).
+/// Materializes the candidate at `covered` into an image (`newest` left
+/// true; the caller that walked the candidate list sets it).
 fn materialize(
     store: &ObjectStore,
     shard_name: &str,
-    cand: &SnapshotCandidate,
+    covered: EntryId,
     k: usize,
 ) -> Result<SnapshotImage, SnapshotError> {
-    match cand {
-        SnapshotCandidate::Legacy(covered) => {
-            let key = ShardSnapshot::store_key(shard_name, *covered);
-            let (_, blob) = store
-                .get(&key)
-                .map_err(|e| SnapshotError::Corrupt(format!("snapshot {key}: {e}")))?;
-            let snap = ShardSnapshot::decode(&blob)?;
-            let parts = snap.load_db()?.split_by_slot(k, |slot| stripe_of(slot, k));
-            Ok(SnapshotImage {
-                parts,
-                covered: snap.covered,
-                running_crc: snap.running_crc,
-                epoch: snap.epoch,
-                slot_ranges: snap.slot_ranges,
-                blocked_slots: snap.blocked_slots,
-                chain_len: 0,
-                full_covered: snap.covered,
-                from_manifest: false,
-                newest: true,
-            })
-        }
-        SnapshotCandidate::Manifest(covered) => {
-            let head = SnapshotManifest::fetch_at(store, shard_name, *covered)?;
-            let chain = resolve_chain(store, shard_name, head)?;
-            let parts = load_chain(store, shard_name, &chain, k)?;
-            let full_covered = chain.full_covered();
-            let chain_len = chain.chain_len();
-            let Some(head) = chain.manifests.into_iter().next() else {
-                return Err(SnapshotError::Corrupt("empty chain".into()));
-            };
-            Ok(SnapshotImage {
-                parts,
-                covered: head.covered,
-                running_crc: head.running_crc,
-                epoch: head.epoch,
-                slot_ranges: head.slot_ranges,
-                blocked_slots: head.blocked_slots,
-                chain_len,
-                full_covered,
-                from_manifest: true,
-                newest: true,
-            })
-        }
-    }
+    let head = SnapshotManifest::fetch_at(store, shard_name, covered)?;
+    let chain = resolve_chain(store, shard_name, head)?;
+    let parts = load_chain(store, shard_name, &chain, k)?;
+    let full_covered = chain.full_covered();
+    let chain_len = chain.chain_len();
+    let Some(head) = chain.manifests.into_iter().next() else {
+        return Err(SnapshotError::Corrupt("empty chain".into()));
+    };
+    Ok(SnapshotImage {
+        parts,
+        covered: head.covered,
+        running_crc: head.running_crc,
+        epoch: head.epoch,
+        slot_ranges: head.slot_ranges,
+        blocked_slots: head.blocked_slots,
+        chain_len,
+        full_covered,
+        newest: true,
+    })
 }
 
-/// Fetches one chunk blob, verifies it against its manifest reference and
-/// its own trailer in a single checksum pass, and decodes its entries
-/// straight into `part`, skipping keys whose slot `keep` rejects. A key
+/// Fetches one chunk blob, verifies it against its own trailer and — same
+/// digest, same single checksum pass — its manifest reference, and decodes
+/// its entries straight into `part`, skipping keys whose slot `keep`
+/// rejects. A key
 /// outside the chunk's declared slot range fails the chunk: partitioned
 /// replay routes by slot, so a misplaced key would silently diverge.
 fn load_chunk_into(
@@ -556,7 +510,7 @@ fn load_chunk_into(
         |what: &dyn std::fmt::Display| SnapshotError::Corrupt(format!("chunk {key}: {what}"));
     let (_, blob) = store.get(&key).map_err(|e| corrupt(&e))?;
     let entries = rdb::Entries::open(&blob).map_err(|e| corrupt(&e))?;
-    if blob.len() as u64 != chunk.len || entries.blob_crc() != chunk.crc {
+    if blob.len() as u64 != chunk.len || entries.payload_crc() != chunk.crc {
         return Err(corrupt(&"does not match its manifest reference"));
     }
     part.reserve(entries.size_hint_capped());
@@ -573,7 +527,7 @@ fn load_chunk_into(
     Ok(())
 }
 
-/// Builds partition `p` of `k` (the slots [`stripe_of`] maps to `p`) from
+/// Builds partition `p` of `k` (the slots `stripe_of` maps to `p`) from
 /// the chain, newest manifest first: a slot range claimed by a newer
 /// manifest masks older data in those slots — including deletions, because
 /// an empty dirtied slot still claims its range. Only chunks overlapping
@@ -707,7 +661,6 @@ mod tests {
         let c = SnapshotManifest::chunk_key("s", EntryId(9), 0, 99);
         let d = SnapshotManifest::chunk_key("s", EntryId(9), 100, 200);
         assert!(c < d);
-        // Namespaces are disjoint from the legacy one.
         assert!(a.starts_with("snapmeta/"));
         assert!(c.starts_with("snapchunk/"));
     }
@@ -744,33 +697,26 @@ mod tests {
     }
 
     #[test]
-    fn candidates_interleave_both_namespaces_newest_first() {
+    fn candidates_list_manifests_newest_first() {
         let store = ObjectStore::new();
+        for covered in [30, 40, 10] {
+            store.put(
+                &SnapshotManifest::store_key("s", EntryId(covered)),
+                Bytes::from_static(b"m"),
+            );
+        }
+        // Chunk blobs and other shards' manifests are not candidates.
         store.put(
-            &SnapshotManifest::store_key("s", EntryId(30)),
+            &SnapshotManifest::chunk_key("s", EntryId(50), 0, 9),
+            Bytes::from_static(b"c"),
+        );
+        store.put(
+            &SnapshotManifest::store_key("s2", EntryId(60)),
             Bytes::from_static(b"m"),
         );
-        store.put(
-            &ShardSnapshot::store_key("s", EntryId(40)),
-            Bytes::from_static(b"l"),
-        );
-        store.put(
-            &SnapshotManifest::store_key("s", EntryId(40)),
-            Bytes::from_static(b"m"),
-        );
-        store.put(
-            &ShardSnapshot::store_key("s", EntryId(10)),
-            Bytes::from_static(b"l"),
-        );
-        let got = list_candidates(&store, "s");
         assert_eq!(
-            got,
-            vec![
-                SnapshotCandidate::Manifest(EntryId(40)),
-                SnapshotCandidate::Legacy(EntryId(40)),
-                SnapshotCandidate::Manifest(EntryId(30)),
-                SnapshotCandidate::Legacy(EntryId(10)),
-            ]
+            list_candidates(&store, "s"),
+            vec![EntryId(40), EntryId(30), EntryId(10)]
         );
         assert!(list_candidates(&store, "other").is_empty());
     }

@@ -143,8 +143,7 @@ impl MonitoringService {
     /// Samples the freshness inputs for a shard.
     pub fn sample_freshness(&self, shard: &Shard) -> Option<FreshnessSample> {
         let log = &shard.ctx().log;
-        // Chain-aware: the newest candidate whose metadata verifies, whether
-        // an incremental manifest chain or a legacy monolithic blob.
+        // Chain-aware: the newest manifest whose chain resolves to its full.
         let covered =
             crate::manifest::newest_restorable_covered(&shard.ctx().store, &shard.ctx().name)
                 .unwrap_or(EntryId::ZERO);

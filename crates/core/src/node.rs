@@ -17,7 +17,6 @@ use crate::config::ShardConfig;
 use crate::pipeline::{CommitPipeline, Ticket, TicketOutcome};
 use crate::record::{NodeId, Record, ShardId};
 use crate::restore::{restore_replica_opts, ReplayTarget, RestoreOptions, RestorePoint};
-use crate::snapshot::ShardSnapshot;
 use crate::stripes::{stripe_of, EngineStripes};
 use crate::tracker::Tracker;
 use bytes::Bytes;
@@ -536,20 +535,19 @@ impl Node {
     // Snapshots
     // ---------------------------------------------------------------------
 
-    /// Captures a snapshot of this node's current state (used by tests and
-    /// by on-box snapshotting comparisons; production-path snapshots are
-    /// taken off-box, see `offbox.rs`).
-    pub fn capture_snapshot(&self) -> ShardSnapshot {
+    /// A consistent cut of this node's state: `(covered, running_crc,
+    /// keyspace dump)` taken under every stripe lock. The stripes hold
+    /// contiguous slot ranges, so the dump is slot-ordered and
+    /// byte-comparable across stripe counts — the reference the striped ≡
+    /// unstriped ≡ replica tests compare. Stored snapshots are taken
+    /// off-box, see `offbox.rs`.
+    pub fn capture_snapshot(&self) -> (EntryId, u64, Vec<u8>) {
         let guards = self.stripes.lock_all();
         let st = self.st.lock();
-        ShardSnapshot::capture_multi(
-            &guards.dbs(),
+        (
             st.rs.applied,
             st.rs.running_crc,
-            guards.first_ref().version(),
-            st.rs.epoch,
-            st.rs.owned_slots.to_ranges(),
-            st.rs.blocked_slots.iter().copied().collect(),
+            memorydb_engine::rdb::dump_multi(&guards.dbs()),
         )
     }
 

@@ -20,8 +20,9 @@
 //! shadow replica recomputes the running checksum while replaying and
 //! cross-checks it against the checksum probes the primary injects into the
 //! log; every produced chunk is then decoded, its key placement checked
-//! against the live keyspace, and the manifest round-tripped (§7.2.1's
-//! "rehearse restoring it") — all before anything is published.
+//! against the live keyspace, and the manifest — whose chunk references
+//! carry the checksums that decode verified — round-tripped (§7.2.1's
+//! "rehearse restoring it"), all before anything is published.
 
 use crate::manifest::{ChunkRef, SnapshotManifest};
 use crate::node::ShardContext;
@@ -129,7 +130,7 @@ impl OffboxSnapshotter {
         // is the newest manifest in the store: re-publishing would create a
         // delta whose base is itself. Point at the existing manifest.
         if let Some(s) = seed {
-            if s.from_manifest && s.newest && s.covered == rp.rs.applied {
+            if s.newest && s.covered == rp.rs.applied {
                 let key = SnapshotManifest::store_key(&self.ctx.name, s.covered);
                 return Ok((key, s.covered));
             }
@@ -139,9 +140,8 @@ impl OffboxSnapshotter {
         // restored from, and only while that chain is the newest thing in
         // the store and still under the configured length bound.
         let max_chain = self.ctx.cfg.snapshot_max_chain;
-        let delta_base = seed.filter(|s| {
-            s.from_manifest && s.newest && s.chain_len < max_chain && rp.rs.applied > s.covered
-        });
+        let delta_base =
+            seed.filter(|s| s.newest && s.chain_len < max_chain && rp.rs.applied > s.covered);
 
         // (3) Choose chunk slot ranges. Full: an even partition of the slot
         // space. Delta: the slots the replayed suffix dirtied, coalesced to
@@ -154,23 +154,19 @@ impl OffboxSnapshotter {
             Some(_) => coalesce_ranges(&rp.rs.dirty_slots.to_ranges(), n_chunks),
         };
 
-        // (4) Dump every range in one pass over the keyspace and build the
-        // manifest.
+        // (4) Dump every range in one pass over the keyspace.
         let covered = rp.rs.applied;
         let blobs: Vec<Bytes> = rdb::dump_slot_ranges(&[&rp.engine.db], &ranges)
             .into_iter()
             .map(Bytes::from)
             .collect();
-        let chunks = ranges
-            .iter()
-            .zip(&blobs)
-            .map(|(&(lo, hi), blob)| ChunkRef {
-                lo,
-                hi,
-                len: blob.len() as u64,
-                crc: rdb::crc64(blob),
-            })
-            .collect();
+
+        // (5) Verification rehearsal before publication (§7.2.1): every
+        // chunk must decode and hold exactly the live keys of its slot
+        // range — no more, no fewer — and the manifest must round-trip.
+        // The decode that checks a chunk also yields the checksum its
+        // manifest reference binds it by.
+        let chunks = rehearse_chunks(&ranges, &blobs, &rp.engine.db, delta_base.is_none())?;
         let manifest = SnapshotManifest {
             covered,
             running_crc: rp.rs.running_crc,
@@ -182,11 +178,13 @@ impl OffboxSnapshotter {
             chain_len: delta_base.map_or(0, |s| s.chain_len + 1),
             chunks,
         };
-
-        // (5) Verification rehearsal before publication (§7.2.1): the
-        // manifest must round-trip, and every chunk must decode and hold
-        // exactly the live keys of its slot range — no more, no fewer.
-        self.rehearse(&manifest, &blobs, &rp.engine.db)?;
+        let reparsed = SnapshotManifest::decode(&manifest.encode())
+            .map_err(|e| OffboxError::Verification(e.to_string()))?;
+        if reparsed != manifest {
+            return Err(OffboxError::Verification(
+                "manifest did not round-trip".into(),
+            ));
+        }
 
         // (6) Publication: chunks first, manifest last. The manifest is the
         // publication point — only verified, fully-uploaded snapshots are
@@ -206,54 +204,55 @@ impl OffboxSnapshotter {
         }
         Ok((key, covered))
     }
+}
 
-    /// §7.2.1 rehearsal: decode the manifest and every chunk as a restorer
-    /// would — same decoder, no keyspace built — and cross-check chunk
-    /// contents against the live keyspace: each chunk must hold exactly as
-    /// many keys as the live per-slot counts say its range has, every one
-    /// of them inside that range, and a full snapshot must hold them all.
-    fn rehearse(
-        &self,
-        manifest: &SnapshotManifest,
-        blobs: &[Bytes],
-        db: &memorydb_engine::Db,
-    ) -> Result<(), OffboxError> {
-        let reparsed = SnapshotManifest::decode(&manifest.encode())
-            .map_err(|e| OffboxError::Verification(e.to_string()))?;
-        if &reparsed != manifest {
-            return Err(OffboxError::Verification(
-                "manifest did not round-trip".into(),
-            ));
-        }
-        let mut total = 0usize;
-        for (chunk, blob) in manifest.chunks.iter().zip(blobs) {
-            let fail = |what: &dyn std::fmt::Display| {
-                OffboxError::Verification(format!("chunk {}-{}: {what}", chunk.lo, chunk.hi))
-            };
-            let want: usize = (chunk.lo..=chunk.hi)
-                .map(|slot| db.count_keys_in_slot(slot))
-                .sum();
-            let mut got = 0usize;
-            for entry in rdb::Entries::open(blob).map_err(|e| fail(&e))? {
-                let (key, _, _) = entry.map_err(|e| fail(&e))?;
-                if !(chunk.lo..=chunk.hi).contains(&key_hash_slot(&key)) {
-                    return Err(fail(&"holds a key outside its slot range"));
-                }
-                got += 1;
+/// §7.2.1 rehearsal: decode every chunk as a restorer would — same decoder,
+/// no keyspace built — and cross-check its contents against the live
+/// keyspace: each chunk must hold exactly as many keys as the live per-slot
+/// counts say its range has, every one of them inside that range, and a
+/// `full` snapshot must hold them all. Returns the chunk references, each
+/// carrying the payload checksum that decode just verified.
+fn rehearse_chunks(
+    ranges: &[(u16, u16)],
+    blobs: &[Bytes],
+    db: &memorydb_engine::Db,
+    full: bool,
+) -> Result<Vec<ChunkRef>, OffboxError> {
+    let mut chunks = Vec::with_capacity(ranges.len());
+    let mut total = 0usize;
+    for (&(lo, hi), blob) in ranges.iter().zip(blobs) {
+        let fail = |what: &dyn std::fmt::Display| {
+            OffboxError::Verification(format!("chunk {lo}-{hi}: {what}"))
+        };
+        let want: usize = (lo..=hi).map(|slot| db.count_keys_in_slot(slot)).sum();
+        let mut got = 0usize;
+        let mut entries = rdb::Entries::open(blob).map_err(|e| fail(&e))?;
+        let crc = entries.payload_crc();
+        for entry in &mut entries {
+            let (key, _, _) = entry.map_err(|e| fail(&e))?;
+            if !(lo..=hi).contains(&key_hash_slot(&key)) {
+                return Err(fail(&"holds a key outside its slot range"));
             }
-            if got != want {
-                return Err(fail(&format!("rehearsal count mismatch: {got} vs {want}")));
-            }
-            total += got;
+            got += 1;
         }
-        if manifest.is_full() && total != db.len() {
-            return Err(OffboxError::Verification(format!(
-                "full snapshot ranges miss {} keys",
-                db.len() - total
-            )));
+        if got != want {
+            return Err(fail(&format!("rehearsal count mismatch: {got} vs {want}")));
         }
-        Ok(())
+        total += got;
+        chunks.push(ChunkRef {
+            lo,
+            hi,
+            len: blob.len() as u64,
+            crc,
+        });
     }
+    if full && total != db.len() {
+        return Err(OffboxError::Verification(format!(
+            "full snapshot ranges miss {} keys",
+            db.len() - total
+        )));
+    }
+    Ok(chunks)
 }
 
 /// Reduces a sorted, disjoint range list to at most `max` ranges by merging

@@ -1,7 +1,8 @@
 //! The shard's transaction-log record format.
 //!
 //! Every payload MemoryDB appends to the transaction log is one of these
-//! records. `Effects` carries the intercepted replication stream (paper
+//! records, serialized as one CRC-checked frame ([`Record::encode_framed`] /
+//! [`Record::decode_framed`] — there is no other encoding). `Effects` carries the intercepted replication stream (paper
 //! §3.1); the remaining variants implement leader election (§4.1), snapshot
 //! verification (§7.2.1), and the slot-migration 2PC (§5.2).
 
@@ -98,23 +99,21 @@ pub enum Record {
     },
 }
 
-/// First byte of a v2 framed record. Legacy (v1) payloads start with a
-/// record tag in `1..=10`, so the magic is unambiguous and
-/// [`Record::decode_any`] can read both formats from the same log.
+/// First byte of every log record. Body tags are `1..=10`, so an unframed
+/// body can never be mistaken for a frame: it fails the magic check.
 pub const FRAME_MAGIC: u8 = 0xD2;
 
-/// Fixed overhead of a v2 frame: magic byte, `u32` body length, `u32` CRC.
+/// Fixed overhead of a frame: magic byte, `u32` body length, `u32` CRC.
 pub const FRAME_HEADER_LEN: usize = 9;
 
-/// Typed failure decoding a v2 framed record (or, via
-/// [`Record::decode_any`], a legacy payload).
+/// Typed failure decoding a framed record.
 ///
 /// Corruption is reported per record: a bad CRC names the exact frame, and
 /// streaming readers can use the length prefix to skip past it rather than
 /// aborting the whole stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// The first byte is neither the frame magic nor a known legacy tag.
+    /// The first byte is not the frame magic.
     BadMagic,
     /// The buffer ends before the frame header or body does.
     Truncated,
@@ -171,7 +170,7 @@ const fn crc32_table() -> [u32; 256] {
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC32 (IEEE 802.3, reflected) over `data`. Used as the per-record
-/// integrity check in the v2 frame; cheap enough for the hot append path.
+/// integrity check in the frame; cheap enough for the hot append path.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = u32::MAX;
     for &b in data {
@@ -237,13 +236,6 @@ impl<'a> Rd<'a> {
 }
 
 impl Record {
-    /// Serializes the record into a transaction-log payload.
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.encoded_len_hint());
-        self.encode_into(&mut out);
-        Bytes::from(out)
-    }
-
     /// Exact body size for `Effects` (the hot-path record), a small upper
     /// bound for the fixed-size control records — sizing one buffer up
     /// front keeps the append path to a single allocation.
@@ -255,8 +247,7 @@ impl Record {
         }
     }
 
-    /// Appends the body serialization to `out` (the single-buffer half of
-    /// [`Record::encode`] / [`Record::encode_framed`]).
+    /// Appends the body serialization (tag + fields) to `out`.
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Record::Effects { version, effects } => {
@@ -324,8 +315,8 @@ impl Record {
         }
     }
 
-    /// Deserializes a transaction-log payload.
-    pub fn decode(data: &[u8]) -> Option<Record> {
+    /// Deserializes a frame body (tag + fields).
+    fn decode_body(data: &[u8]) -> Option<Record> {
         let mut r = Rd { d: data, p: 0 };
         let rec = match r.u8()? {
             TAG_EFFECTS => {
@@ -375,10 +366,10 @@ impl Record {
         }
     }
 
-    /// Serializes the record as a v2 frame: `[magic][len u32][crc32 u32][body]`
-    /// where `body` is the v1 encoding. The per-record CRC replaces the
-    /// chained full-entry checksum on the hot append path; chain checksums
-    /// are still folded at batch boundaries for stream integrity.
+    /// Serializes the record as a frame: `[magic][len u32][crc32 u32][body]`
+    /// where `body` is the tag-level encoding. The per-record CRC replaces
+    /// the chained full-entry checksum on the hot append path; chain
+    /// checksums are still folded at batch boundaries for stream integrity.
     pub fn encode_framed(&self) -> Bytes {
         // One pre-sized buffer: reserve the header, encode the body in
         // place, then back-patch length and CRC — the whole frame is a
@@ -400,7 +391,7 @@ impl Record {
         Bytes::from(out)
     }
 
-    /// Splits one v2 frame off the front of `data`, verifies its CRC, and
+    /// Splits one frame off the front of `data`, verifies its CRC, and
     /// decodes the body. Returns the record and the remaining bytes, so
     /// callers can walk a concatenated stream of frames.
     pub fn decode_framed_prefix(data: &[u8]) -> Result<(Record, &[u8]), FrameError> {
@@ -409,7 +400,7 @@ impl Record {
         if actual != expected {
             return Err(FrameError::CrcMismatch { expected, actual });
         }
-        let rec = Record::decode(body).ok_or(FrameError::Undecodable)?;
+        let rec = Record::decode_body(body).ok_or(FrameError::Undecodable)?;
         Ok((rec, rest))
     }
 
@@ -432,24 +423,14 @@ impl Record {
         Ok((crc, body, rest))
     }
 
-    /// Decodes a whole payload that must be exactly one v2 frame.
+    /// Decodes a whole payload that must be exactly one frame — the only
+    /// way a log entry is read.
     pub fn decode_framed(data: &[u8]) -> Result<Record, FrameError> {
         let (rec, rest) = Self::decode_framed_prefix(data)?;
         if rest.is_empty() {
             Ok(rec)
         } else {
             Err(FrameError::TrailingBytes)
-        }
-    }
-
-    /// Decodes either format: v2 frames (magic byte, CRC-checked) or legacy
-    /// v1 payloads, so restore/replay reads logs written before and after
-    /// the format switch.
-    pub fn decode_any(data: &[u8]) -> Result<Record, FrameError> {
-        if data.first() == Some(&FRAME_MAGIC) {
-            Record::decode_framed(data)
-        } else {
-            Record::decode(data).ok_or(FrameError::Undecodable)
         }
     }
 }
@@ -460,8 +441,15 @@ mod tests {
     use memorydb_engine::cmd;
 
     fn roundtrip(rec: Record) {
-        let encoded = rec.encode();
-        assert_eq!(Record::decode(&encoded), Some(rec));
+        let encoded = rec.encode_framed();
+        assert_eq!(Record::decode_framed(&encoded), Ok(rec));
+    }
+
+    /// The tag-level body alone — what a v1 log entry held.
+    fn body(rec: &Record) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode_into(&mut out);
+        out
     }
 
     #[test]
@@ -502,17 +490,19 @@ mod tests {
     }
 
     #[test]
-    fn framed_roundtrip_and_decode_any_reads_both_formats() {
+    fn frame_starts_with_magic_and_unframed_body_is_rejected() {
         let rec = Record::Effects {
             version: EngineVersion::CURRENT,
             effects: vec![cmd(["SET", "k", "v"]), cmd(["DEL", "x"])],
         };
         let framed = rec.encode_framed();
         assert_eq!(framed.first(), Some(&FRAME_MAGIC));
+        assert_eq!(framed.get(FRAME_HEADER_LEN..), Some(&body(&rec)[..]));
         assert_eq!(Record::decode_framed(&framed), Ok(rec.clone()));
-        // decode_any accepts both the framed and the legacy encoding.
-        assert_eq!(Record::decode_any(&framed), Ok(rec.clone()));
-        assert_eq!(Record::decode_any(&rec.encode()), Ok(rec));
+        assert_eq!(
+            Record::decode_framed(&body(&rec)),
+            Err(FrameError::BadMagic)
+        );
     }
 
     #[test]
@@ -541,13 +531,11 @@ mod tests {
             Record::decode_framed(&trailing),
             Err(FrameError::TrailingBytes)
         );
-        // decode_any on garbage that is neither format: no frame magic, so
-        // it takes the legacy path and fails as an undecodable body.
         assert_eq!(
-            Record::decode_any(&[99, 1, 2]),
-            Err(FrameError::Undecodable)
+            Record::decode_framed(&[99, 1, 2]),
+            Err(FrameError::BadMagic)
         );
-        assert_eq!(Record::decode_any(&[]), Err(FrameError::Undecodable));
+        assert_eq!(Record::decode_framed(&[]), Err(FrameError::Truncated));
     }
 
     #[test]
@@ -592,15 +580,15 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(Record::decode(&[]), None);
-        assert_eq!(Record::decode(&[99, 1, 2, 3]), None);
+    fn body_decode_rejects_garbage() {
+        assert_eq!(Record::decode_body(&[]), None);
+        assert_eq!(Record::decode_body(&[99, 1, 2, 3]), None);
         // Truncated claim.
-        assert_eq!(Record::decode(&[2, 1, 0, 0]), None);
+        assert_eq!(Record::decode_body(&[2, 1, 0, 0]), None);
         // Trailing garbage after a fixed-size record.
-        let mut ok = Record::ChecksumProbe { crc: 1 }.encode().to_vec();
+        let mut ok = body(&Record::ChecksumProbe { crc: 1 });
         ok.push(0);
-        assert_eq!(Record::decode(&ok), None);
+        assert_eq!(Record::decode_body(&ok), None);
     }
 }
 
@@ -666,15 +654,8 @@ mod proptests {
 
     proptest! {
         #[test]
-        fn prop_record_roundtrip(rec in arb_record()) {
-            let encoded = rec.encode();
-            prop_assert_eq!(Record::decode(&encoded), Some(rec));
-        }
-
-        #[test]
         fn prop_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let _ = Record::decode(&data);
-            let _ = Record::decode_any(&data);
+            let _ = Record::decode_body(&data);
             let _ = Record::decode_framed(&data);
         }
 
@@ -682,9 +663,11 @@ mod proptests {
         fn prop_framed_roundtrip(rec in arb_record()) {
             let framed = rec.encode_framed();
             prop_assert_eq!(Record::decode_framed(&framed), Ok(rec.clone()));
-            prop_assert_eq!(Record::decode_any(&framed), Ok(rec.clone()));
-            // Legacy encoding of the same record still decodes via decode_any.
-            prop_assert_eq!(Record::decode_any(&rec.encode()), Ok(rec));
+            // The bare body of the same record is not a log record.
+            prop_assert_eq!(
+                Record::decode_framed(framed.get(FRAME_HEADER_LEN..).unwrap_or(&[])),
+                Err(FrameError::BadMagic)
+            );
         }
 
         #[test]
@@ -735,13 +718,14 @@ mod proptests {
 
         #[test]
         fn prop_truncation_never_roundtrips_to_wrong_record(rec in arb_record(), cut in 1usize..8) {
-            let encoded = rec.encode();
+            let mut encoded = Vec::new();
+            rec.encode_into(&mut encoded);
             if encoded.len() > cut {
                 let truncated = &encoded[..encoded.len() - cut];
-                // Truncated Effects payloads must not decode to a DIFFERENT
+                // Truncated Effects bodies must not decode to a DIFFERENT
                 // valid record of the same kind silently... most truncations
                 // fail; any that succeed must not equal the original.
-                if let Some(other) = Record::decode(truncated) {
+                if let Some(other) = Record::decode_body(truncated) {
                     prop_assert_ne!(other, rec);
                 }
             }

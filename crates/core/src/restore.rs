@@ -1,10 +1,10 @@
 //! Data restoration (paper §4.2.1).
 //!
 //! Restoring is local to the restoring replica: fetch the latest verified
-//! snapshot image from the object store (a legacy single-blob snapshot or a
-//! chunked incremental chain, see [`crate::manifest`]), then replay the
-//! transaction log suffix — never talking to healthy peers, so any number
-//! of replicas can restore in parallel without a centralized bottleneck.
+//! snapshot image from the object store (a chunked manifest chain, see
+//! [`crate::manifest`]), then replay the transaction log suffix — never
+//! talking to healthy peers, so any number of replicas can restore in
+//! parallel without a centralized bottleneck.
 //!
 //! The keyspace is built once. With [`RestoreOptions::workers`] = `k`, the
 //! image is decoded straight into `k` slot-range partitions (one worker
@@ -64,9 +64,6 @@ pub struct SeedInfo {
     pub chain_len: u32,
     /// Covered position of the anchoring full snapshot.
     pub full_covered: EntryId,
-    /// Whether the seed came from a chunked manifest chain (vs. a legacy
-    /// single-blob snapshot).
-    pub from_manifest: bool,
     /// Whether the seed was the newest candidate in the store. False when
     /// restore fell back past a broken/corrupt newer candidate — extending
     /// such a seed with a delta would fork the chain, so the snapshotter
@@ -88,8 +85,8 @@ pub struct RestorePoint {
 /// Errors during restoration.
 #[derive(Debug)]
 pub enum RestoreError {
-    /// The snapshot blob failed integrity or structural checks.
-    Snapshot(crate::snapshot::SnapshotError),
+    /// Snapshots exist but none passed integrity or structural checks.
+    Snapshot(manifest::SnapshotError),
     /// The log suffix needed is unavailable (trimmed without a covering
     /// snapshot, or the client is partitioned).
     Log(ReadError),
@@ -204,9 +201,8 @@ fn restore_replica_once(
 
     // Step 1: newest restorable snapshot image, if any (§4.2.1 "loads a
     // recent point-in-time snapshot"), decoded directly into the `k`
-    // partitions replay runs on. Handles both legacy single-blob snapshots
-    // and chunked incremental chains; a corrupt newest candidate degrades
-    // to the next older restorable one.
+    // partitions replay runs on; a corrupt newest candidate degrades to the
+    // next older restorable one.
     if let Some(image) =
         manifest::fetch_latest_image(store, shard_name, k).map_err(RestoreError::Snapshot)?
     {
@@ -214,7 +210,6 @@ fn restore_replica_once(
             covered: image.covered,
             chain_len: image.chain_len,
             full_covered: image.full_covered,
-            from_manifest: image.from_manifest,
             newest: image.newest,
         });
         for (part, db) in parts.iter_mut().zip(image.parts) {

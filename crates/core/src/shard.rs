@@ -67,7 +67,7 @@ impl Shard {
         let ownership = Record::SlotOwnership {
             ranges: slot_ranges,
         }
-        .encode();
+        .encode_framed();
         let entry = log.append(0, ownership).expect("bootstrap append");
         assert!(log.wait_durable(entry, Duration::from_secs(10)));
 

@@ -1016,8 +1016,14 @@ fn batch_replies_in_submission_order_and_one_append_call() {
 /// Cross-connection group commit (the commit pipeline's tentpole claim):
 /// M concurrent sessions each submitting pipelined write batches against
 /// ONE node must need strictly fewer conditional appends than batches —
-/// the committer coalesces staged runs from different connections — while
-/// every session still sees its own replies in exact submission order.
+/// staged runs from different connections share a flush — while every
+/// session still sees its own replies in exact submission order.
+///
+/// The coalescing round is forced, not hoped for: with the log's commits
+/// suspended, self-flushes are accepted only until the quorum pipeline is
+/// full; the next flush leader then blocks in its append holding the flush
+/// token, and every later first batch stages behind it. On resume the
+/// queued runs can only leave in shared appends.
 #[test]
 fn concurrent_batches_coalesce_appends_and_preserve_per_session_order() {
     const THREADS: usize = 8;
@@ -1026,8 +1032,17 @@ fn concurrent_batches_coalesce_appends_and_preserve_per_session_order() {
 
     let shard = quiet_shard(0);
     let primary = shard.wait_for_primary(T).unwrap();
-    let barrier = Arc::new(std::sync::Barrier::new(THREADS));
-    let calls_before = shard.ctx().log.append_calls();
+    let log = &shard.ctx().log;
+    assert!(
+        shard.ctx().cfg.log.quorum_pipeline_depth + 2 < THREADS,
+        "the first round must overfill the log's quorum pipeline"
+    );
+    // Sessions and this thread meet after every first batch has resolved,
+    // and again once the round's append count has been read.
+    let barrier = Arc::new(std::sync::Barrier::new(THREADS + 1));
+    let staged_before = primary.pipeline_inflight().0;
+    let calls_before = log.append_calls();
+    log.set_commits_suspended(true);
 
     let mut workers = Vec::new();
     for t in 0..THREADS {
@@ -1037,10 +1052,15 @@ fn concurrent_batches_coalesce_appends_and_preserve_per_session_order() {
             let mut s = SessionState::new();
             let key = format!("coal-ctr-{t}");
             let mut seen = 0i64;
-            barrier.wait();
-            for _ in 0..BATCHES {
+            for b in 0..BATCHES {
                 let batch: Vec<Vec<Bytes>> = (0..DEPTH).map(|_| cmd(["INCR", &key])).collect();
                 let replies = primary.handle_batch(&mut s, &batch);
+                if b == 0 {
+                    // Before any assertion, so a failing session cannot
+                    // strand the others at the rendezvous.
+                    barrier.wait();
+                    barrier.wait();
+                }
                 assert_eq!(replies.len(), DEPTH);
                 // INCR on a session-private key: replies in submission
                 // order are exactly the next DEPTH counter values.
@@ -1055,18 +1075,34 @@ fn concurrent_batches_coalesce_appends_and_preserve_per_session_order() {
             }
         }));
     }
+
+    // One log entry per INCR, and nothing resolves while commits are
+    // suspended, so the in-flight window only grows: it reaches this mark
+    // exactly when the last session has staged its first batch.
+    let all_staged = staged_before + THREADS * DEPTH;
+    let staged_by = std::time::Instant::now() + Duration::from_secs(1);
+    while primary.pipeline_inflight().0 < all_staged && std::time::Instant::now() < staged_by {
+        std::thread::yield_now();
+    }
+    let staged = primary.pipeline_inflight().0;
+    log.set_commits_suspended(false);
+    assert!(
+        staged >= all_staged,
+        "only {staged} of {all_staged} first-round entries staged while suspended"
+    );
+    barrier.wait();
+    let appends = log.append_calls() - calls_before;
+    barrier.wait();
+    assert!(appends > 0, "writes must reach the log");
+    assert!(
+        appends < THREADS as u64,
+        "staged batches must share appends across connections: \
+         {appends} appends for {THREADS} batches"
+    );
     for w in workers {
         w.join().expect("coalescing worker panicked");
     }
 
-    let appends = shard.ctx().log.append_calls() - calls_before;
-    let total_batches = (THREADS * BATCHES) as u64;
-    assert!(appends > 0, "writes must reach the log");
-    assert!(
-        appends < total_batches,
-        "committer must coalesce staged batches across connections: \
-         {appends} appends for {total_batches} batches"
-    );
     // Nothing lost to coalescing: every INCR landed exactly once.
     let mut s = SessionState::new();
     for t in 0..THREADS {
@@ -1216,7 +1252,7 @@ fn fenced_stale_primary_must_not_ack_in_flight_writes() {
     shard
         .ctx()
         .log
-        .append(999, fence.encode())
+        .append(999, fence.encode_framed())
         .expect("foreign append");
 
     // quiet_shard renews only every 600ms, so this handle call reaches the
@@ -1724,8 +1760,8 @@ fn striped_fold_matches_unstriped_and_replica_replay() {
     // Identical datasets regardless of stripe count: the snapshot dump
     // concatenates stripes in slot order, so it is byte-comparable.
     assert_eq!(
-        ps.capture_snapshot().rdb,
-        pu.capture_snapshot().rdb,
+        ps.capture_snapshot().2,
+        pu.capture_snapshot().2,
         "stripe partitioning changed the folded dataset"
     );
 
@@ -1737,11 +1773,11 @@ fn striped_fold_matches_unstriped_and_replica_replay() {
     let replica = striped.replicas().into_iter().next().unwrap();
     let deadline = std::time::Instant::now() + T;
     loop {
-        let p = ps.capture_snapshot();
-        let r = replica.capture_snapshot();
-        if p.covered == r.covered {
-            assert_eq!(p.running_crc, r.running_crc, "replica fold crc diverged");
-            assert_eq!(p.rdb, r.rdb, "replica dataset diverged");
+        let (p_covered, p_crc, p_dump) = ps.capture_snapshot();
+        let (r_covered, r_crc, r_dump) = replica.capture_snapshot();
+        if p_covered == r_covered {
+            assert_eq!(p_crc, r_crc, "replica fold crc diverged");
+            assert_eq!(p_dump, r_dump, "replica dataset diverged");
             break;
         }
         assert!(
@@ -2056,13 +2092,10 @@ fn incremental_chain_restores_byte_identical_to_full_replay() {
         offbox.create_snapshot(false).expect("snapshot");
     }
     // The newest candidate must actually be a delta (the chain grew).
-    let head = crate::manifest::list_candidates(&shard.ctx().store, &shard.ctx().name)
+    let head_covered = crate::manifest::list_candidates(&shard.ctx().store, &shard.ctx().name)
         .into_iter()
         .next()
         .unwrap();
-    let crate::manifest::SnapshotCandidate::Manifest(head_covered) = head else {
-        panic!("newest candidate must be a manifest");
-    };
     let head = crate::manifest::SnapshotManifest::fetch_at(
         &shard.ctx().store,
         &shard.ctx().name,
@@ -2119,7 +2152,7 @@ fn incremental_chain_restores_byte_identical_to_full_replay() {
         )
         .expect("chain restore");
         let seed = rp.seeded_from.expect("must seed from the chain");
-        assert!(seed.from_manifest && seed.newest, "seed: {seed:?}");
+        assert!(seed.newest, "seed: {seed:?}");
         assert!(seed.chain_len >= 1);
         assert_eq!(rp.rs.applied, tail);
         assert_eq!(rp.rs.running_crc, rs.running_crc, "workers={workers}");
@@ -2158,6 +2191,12 @@ fn random_keyspace_step(engine: &mut memorydb_engine::Engine, rng: &mut Lcg, ops
     }
 }
 
+/// What a manifest's `ChunkRef.crc` records for `blob`: the CRC64 of its
+/// payload, which is also the value of its 8-byte trailer.
+fn chunk_payload_crc(blob: &[u8]) -> u64 {
+    memorydb_engine::rdb::crc64(&blob[..blob.len() - 8])
+}
+
 /// Publishes `engine`'s keys in `ranges` as one manifest (full when `base`
 /// is `None`), exactly as the off-box snapshotter lays it out.
 fn publish_manifest(
@@ -2177,7 +2216,7 @@ fn publish_manifest(
             lo,
             hi,
             len: blob.len() as u64,
-            crc: rdb::crc64(&blob),
+            crc: chunk_payload_crc(&blob),
         });
         store.put(
             &SnapshotManifest::chunk_key("p", EntryId(covered), lo, hi),
@@ -2342,7 +2381,7 @@ fn chunk_with_a_key_outside_its_range_is_rejected() {
         lo: 0,
         hi: 8191,
         len: blob.len() as u64,
-        crc: rdb::crc64(&blob),
+        crc: chunk_payload_crc(&blob),
     };
     store.put(
         &SnapshotManifest::chunk_key("p", EntryId(5), 0, 8191),
@@ -2364,17 +2403,21 @@ fn chunk_with_a_key_outside_its_range_is_rejected() {
     assert!(err.to_string().contains("outside its slot range"), "{err}");
 }
 
-/// On-disk compatibility: a chunk and a manifest written by the commit
-/// before the single-index keyspace / slice-by-8 CRC still load, re-dump
-/// byte-identically, and the CRC of a fixed vector is the value that commit
-/// computed.
+/// On-disk formats, one positive and one negative golden each. The chunk
+/// format is unchanged since the commit before the single-index keyspace /
+/// slice-by-8 CRC: its blob still loads and re-dumps byte-identically, and
+/// the CRC of a fixed vector is the value that commit computed. The
+/// manifest for that chunk is pinned byte for byte in v2, and its v1
+/// encoding (`MDSM`, chunk CRC zero by construction) is rejected at the
+/// magic check.
 #[test]
-fn golden_blobs_from_the_previous_format_owner_still_load() {
-    use crate::manifest::{fetch_latest_image, SnapshotManifest};
+fn golden_chunk_and_v2_manifest_load_and_v1_manifest_is_rejected() {
+    use crate::manifest::{fetch_latest_image, SnapshotError, SnapshotManifest};
     use memorydb_engine::rdb;
     use memorydb_txlog::EntryId;
     const CHUNK: &[u8] = include_bytes!("../testdata/golden/chunk_00000-08191.rdb");
-    const MANIFEST: &[u8] = include_bytes!("../testdata/golden/manifest.mdsm");
+    const MANIFEST: &[u8] = include_bytes!("../testdata/golden/manifest.mds2");
+    const MANIFEST_V1: &[u8] = include_bytes!("../testdata/golden/manifest_v1_rejected.mdsm");
 
     let vector: Vec<u8> = (0..1024u32)
         .map(|i| (i.wrapping_mul(31).wrapping_add(7) % 251) as u8)
@@ -2405,8 +2448,13 @@ fn golden_blobs_from_the_previous_format_owner_still_load() {
     assert_eq!(m.blocked_slots, vec![866]);
     assert_eq!((m.chunks[0].lo, m.chunks[0].hi), (0, 8191));
     assert_eq!(m.chunks[0].len, CHUNK.len() as u64);
-    assert_eq!(m.chunks[0].crc, rdb::crc64(CHUNK));
+    assert_eq!(m.chunks[0].crc, chunk_payload_crc(CHUNK));
+    assert_ne!(m.chunks[0].crc, 0);
     assert_eq!(m.encode().as_ref(), MANIFEST);
+    assert_eq!(
+        SnapshotManifest::decode(MANIFEST_V1),
+        Err(SnapshotError::Corrupt("bad manifest magic".into()))
+    );
 
     // And the pair restores as an image, on one partition or several.
     let store = ObjectStore::new();
@@ -2520,33 +2568,119 @@ fn broken_delta_chain_falls_back_to_newest_full_plus_suffix() {
     assert_eq!(rp.engine.db.len(), 70);
 }
 
-/// Pre-manifest monolithic snapshot blobs must still seed a restore
-/// (mixed-version fleets during the rollout of incremental snapshots).
+/// A manifest's chunk reference binds one chunk's *content*. Full snapshot
+/// at A, every key overwritten with an equal-length value, snapshot at B,
+/// then B's store objects are tampered with valid chunk blobs that are not
+/// B's: candidate B must fail, restore must seed from A and replay the
+/// suffix, and every key must read the log's value.
+///
+/// Row 1 (B full) puts A's chunk for the same slot range at B's key — same
+/// keys, same length, so only the payload CRC tells them apart. Row 2 (B a
+/// delta) swaps two of B's own chunks across ranges — the control, already
+/// caught by the slot-range check.
 #[test]
-fn legacy_monolithic_snapshot_still_seeds_restore() {
+fn stale_or_swapped_chunk_fails_its_candidate_and_restore_falls_back() {
+    use crate::manifest::SnapshotManifest;
     use crate::restore::{restore_replica, ReplayTarget};
-    let shard = new_shard(0);
-    let primary = shard.wait_for_primary(T).unwrap();
-    let mut session = SessionState::new();
-    for i in 0..25 {
-        primary.handle(&mut session, &cmd(["SET", &format!("k{i}"), "v"]));
+    const KEYS: usize = 200;
+    for (row, snapshot_max_chain) in [("stale chunk under a full B", 0), ("swap in a delta B", 4)] {
+        let shard = Shard::bootstrap(
+            0,
+            ShardConfig {
+                snapshot_chunks: 4,
+                snapshot_max_chain,
+                ..ShardConfig::fast()
+            },
+            Arc::new(ObjectStore::new()),
+            Arc::new(ClusterBus::new()),
+            Arc::new(NodeIdGen::new()),
+            vec![(0, 16383)],
+            0,
+        );
+        let (store, name) = (&shard.ctx().store, shard.ctx().name.as_str());
+        let primary = shard.wait_for_primary(T).unwrap();
+        let mut session = SessionState::new();
+        let mut write_all = |tag: &str| {
+            for i in 0..KEYS {
+                let reply = primary.handle(
+                    &mut session,
+                    &cmd(["SET", &format!("key:{i:03}"), &format!("{tag}-{i:03}")]),
+                );
+                assert_eq!(reply, Frame::ok());
+            }
+        };
+        let offbox = OffboxSnapshotter::new(
+            Arc::clone(shard.ctx()),
+            memorydb_engine::EngineVersion::CURRENT,
+            9_999,
+        );
+        write_all("A");
+        let (_, a) = offbox.create_snapshot(false).unwrap();
+        write_all("B");
+        let (_, b) = offbox.create_snapshot(false).unwrap();
+        let at_b = SnapshotManifest::fetch_at(store, name, b).unwrap();
+        assert_eq!(at_b.is_full(), snapshot_max_chain == 0, "{row}");
+        let (c0, c1) = (&at_b.chunks[0], &at_b.chunks[1]);
+        let b_key0 = SnapshotManifest::chunk_key(name, b, c0.lo, c0.hi);
+        let b_blob0 = store.get(&b_key0).unwrap().1;
+        if at_b.is_full() {
+            let a_key0 = SnapshotManifest::chunk_key(name, a, c0.lo, c0.hi);
+            let a_blob0 = store.get(&a_key0).unwrap().1;
+            assert_eq!(a_blob0.len(), b_blob0.len(), "{row}: length must not help");
+            assert_ne!(a_blob0, b_blob0, "{row}");
+            store.put(&b_key0, a_blob0);
+        } else {
+            let b_key1 = SnapshotManifest::chunk_key(name, b, c1.lo, c1.hi);
+            let b_blob1 = store.get(&b_key1).unwrap().1;
+            store.put(&b_key0, b_blob1);
+            store.put(&b_key1, b_blob0);
+        }
+
+        let tail = shard.ctx().log.committed_tail();
+        let rp = restore_replica(
+            store,
+            &shard.ctx().log,
+            90_003,
+            name,
+            memorydb_engine::EngineVersion::CURRENT,
+            ReplayTarget::Tail,
+        )
+        .unwrap_or_else(|e| panic!("{row}: restore must fall back to A: {e}"));
+        let seed = rp.seeded_from.expect("seeded from a snapshot");
+        assert_eq!(seed.covered, a, "{row}: must seed from A");
+        assert!(!seed.newest, "{row}: fallback seed is not the newest");
+        assert!(
+            rp.rs.applied >= tail,
+            "{row}: must reach the committed tail"
+        );
+        for i in 0..KEYS {
+            assert_eq!(
+                rp.engine.db.lookup(format!("key:{i:03}").as_bytes(), 0),
+                Some(&memorydb_engine::Value::Str(format!("B-{i:03}").into())),
+                "{row}: key:{i:03} must read the log's value"
+            );
+        }
     }
-    let snap = primary.capture_snapshot();
-    snap.upload(&shard.ctx().store, &shard.ctx().name);
-    let rp = restore_replica(
-        &shard.ctx().store,
-        &shard.ctx().log,
-        91_000,
-        &shard.ctx().name,
-        memorydb_engine::EngineVersion::CURRENT,
-        ReplayTarget::Tail,
-    )
-    .unwrap();
-    let seed = rp.seeded_from.expect("must seed from the legacy blob");
-    assert!(!seed.from_manifest);
-    assert_eq!(seed.chain_len, 0);
-    assert_eq!(rp.engine.db.len(), 25);
-    assert_eq!(rp.rs.applied, shard.ctx().log.committed_tail());
+}
+
+/// Entry #1 of every shard's log — the bootstrap `SlotOwnership` — is a
+/// CRC-checked frame like every record after it.
+#[test]
+fn bootstrap_writes_slot_ownership_as_a_frame() {
+    let shard = new_shard(0);
+    let first = shard
+        .ctx()
+        .log
+        .read_committed_from(77_002, memorydb_txlog::EntryId::ZERO, 1)
+        .unwrap();
+    assert_eq!(first.len(), 1);
+    assert_eq!(first[0].id, memorydb_txlog::EntryId(1));
+    assert_eq!(
+        crate::record::Record::decode_framed(&first[0].payload),
+        Ok(crate::record::Record::SlotOwnership {
+            ranges: vec![(0, 16383)]
+        })
+    );
 }
 
 /// Satellite: DBSIZE and RANDOMKEY are no longer all-stripe commands. On a

@@ -528,7 +528,7 @@ pub fn dump_slot_ranges(dbs: &[&Db], ranges: &[(u16, u16)]) -> Vec<Vec<u8>> {
 pub struct Entries<'a> {
     r: Reader<'a>,
     left: u64,
-    blob_crc: u64,
+    payload_crc: u64,
 }
 
 impl<'a> Entries<'a> {
@@ -539,12 +539,10 @@ impl<'a> Entries<'a> {
             return Err(RdbError::Corrupt("too short"));
         }
         let (payload, trailer) = data.split_at(data.len() - 8);
-        let mut crc = Crc64::new();
-        crc.update(payload);
-        if crc.digest().to_le_bytes() != trailer {
+        let payload_crc = crc64(payload);
+        if payload_crc.to_le_bytes() != trailer {
             return Err(RdbError::ChecksumMismatch);
         }
-        crc.update(trailer);
         if &payload[..4] != MAGIC {
             return Err(RdbError::BadMagic);
         }
@@ -560,7 +558,7 @@ impl<'a> Entries<'a> {
         Ok(Entries {
             r,
             left,
-            blob_crc: crc.digest(),
+            payload_crc,
         })
     }
 
@@ -571,11 +569,11 @@ impl<'a> Entries<'a> {
         self.left.min(1 << 20) as usize
     }
 
-    /// CRC64 of the whole blob, trailer included — what a manifest's chunk
-    /// reference records — continued from the envelope check rather than
-    /// computed in a second pass.
-    pub fn blob_crc(&self) -> u64 {
-        self.blob_crc
+    /// CRC64 of the payload (everything before the trailer), as verified
+    /// against the trailer by [`Entries::open`] — what a manifest's chunk
+    /// reference records, so binding a chunk costs no second pass.
+    pub fn payload_crc(&self) -> u64 {
+        self.payload_crc
     }
 
     fn read_entry(&mut self) -> Result<(Bytes, Value, Option<u64>), RdbError> {
@@ -749,7 +747,10 @@ mod tests {
         let snapshot = dump(&e.db);
         let entries = Entries::open(&snapshot).unwrap();
         assert_eq!(entries.size_hint_capped(), e.db.len());
-        assert_eq!(entries.blob_crc(), crc64(&snapshot));
+        assert_eq!(
+            entries.payload_crc(),
+            crc64(&snapshot[..snapshot.len() - 8])
+        );
         let mut n = 0;
         for entry in entries {
             let (key, value, expire_at) = entry.unwrap();

@@ -519,7 +519,7 @@ fn fenced_primary_errors_parked_replies_instead_of_hanging() {
     shard
         .ctx()
         .log
-        .append(999, fence.encode())
+        .append(999, fence.encode_framed())
         .expect("foreign append");
 
     // A pipeline of writes: each parks on the connection until its ticket

@@ -33,7 +33,7 @@ use memorydb_consistency::history::HistoryRecorder;
 use memorydb_consistency::model::{KvInput, KvModel, KvOutput};
 use memorydb_core::bus::ClusterBus;
 use memorydb_core::config::ShardConfig;
-use memorydb_core::manifest::{self, SnapshotCandidate, SnapshotManifest};
+use memorydb_core::manifest::{self, SnapshotManifest};
 use memorydb_core::offbox::OffboxSnapshotter;
 use memorydb_core::record::Record;
 use memorydb_core::restore::{restore_replica, ReplayTarget};
@@ -713,13 +713,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                         let store = &shard.ctx().store;
                         let name = &shard.ctx().name;
                         let head = manifest::list_candidates(store, name).into_iter().find_map(
-                            |c| match c {
-                                SnapshotCandidate::Manifest(covered) => {
-                                    SnapshotManifest::fetch_at(store, name, covered)
-                                        .ok()
-                                        .filter(|m| !m.is_full())
-                                }
-                                SnapshotCandidate::Legacy(_) => None,
+                            |covered| {
+                                SnapshotManifest::fetch_at(store, name, covered)
+                                    .ok()
+                                    .filter(|m| !m.is_full())
                             },
                         );
                         if let Some(head) = head {
@@ -925,8 +922,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             .push(format!("cold restore after healing failed: {e}")),
     }
 
-    // Invariant 1 (log half): claimed epochs strictly increase.
-    let epochs = claimed_epochs(&shard);
+    // Invariant 1 (log half): every committed entry is a CRC-valid frame,
+    // and claimed epochs strictly increase.
+    let epochs = claimed_epochs(&shard).unwrap_or_else(|e| {
+        violations.lock().push(e);
+        Vec::new()
+    });
     if !epochs.windows(2).all(|w| w[0] < w[1]) {
         violations.lock().push(format!(
             "leadership epochs not strictly increasing: {epochs:?}"
@@ -1054,8 +1055,11 @@ fn active_primary_count(shard: &Shard) -> usize {
         .count()
 }
 
-/// Leadership epochs claimed in the log, in log order.
-fn claimed_epochs(shard: &Shard) -> Vec<u64> {
+/// Leadership epochs claimed in the log, in log order. The scan reads every
+/// committed entry still readable, so it doubles as the standing format
+/// invariant: an entry that is not a CRC-valid frame — whichever producer
+/// appended it — fails the schedule, naming the entry.
+fn claimed_epochs(shard: &Shard) -> Result<Vec<u64>, String> {
     let log = &shard.ctx().log;
     let mut epochs = Vec::new();
     let mut after = EntryId(log.first_available().0.saturating_sub(1));
@@ -1067,10 +1071,12 @@ fn claimed_epochs(shard: &Shard) -> Vec<u64> {
                     break;
                 }
                 for entry in &batch {
-                    if let Ok(Record::LeaderClaim { epoch, .. }) =
-                        Record::decode_any(&entry.payload)
-                    {
-                        epochs.push(epoch);
+                    match Record::decode_framed(&entry.payload) {
+                        Ok(Record::LeaderClaim { epoch, .. }) => epochs.push(epoch),
+                        Ok(_) => {}
+                        Err(e) => {
+                            return Err(format!("log entry {} is not a frame: {e}", entry.id))
+                        }
                     }
                     after = entry.id;
                 }
@@ -1090,7 +1096,7 @@ fn claimed_epochs(shard: &Shard) -> Vec<u64> {
             Err(_) => break,
         }
     }
-    epochs
+    Ok(epochs)
 }
 
 /// Invariant 3: every pair of observations (any node, or the cold restore)
@@ -1288,6 +1294,40 @@ mod tests {
             rp.rs.blocked_slots.contains(&slot),
             "cold restore dropped blocked slot {slot}"
         );
+    }
+
+    /// The standing format invariant bites: the scan every schedule ends
+    /// with accepts a live shard's log (bootstrap, election, renewals,
+    /// serve) and rejects one holding a single unframed payload, naming
+    /// the entry.
+    #[test]
+    fn log_scan_fails_on_an_unframed_entry() {
+        let shard = Shard::bootstrap(
+            0,
+            chaos_config(),
+            Arc::new(ObjectStore::new()),
+            Arc::new(ClusterBus::new()),
+            Arc::new(NodeIdGen::new()),
+            vec![(0, 16383)],
+            0,
+        );
+        let primary = shard
+            .wait_for_primary(Duration::from_secs(5))
+            .expect("initial primary");
+        let mut s = SessionState::new();
+        assert_eq!(primary.handle(&mut s, &cmd(["SET", "k", "v"])), Frame::ok());
+        let epochs = claimed_epochs(&shard).expect("every entry is a frame");
+        assert!(!epochs.is_empty());
+
+        // A v1 checksum probe: tag 5 + u64, no frame around it.
+        let mut v1 = vec![5u8];
+        v1.extend_from_slice(&0u64.to_le_bytes());
+        let log = &shard.ctx().log;
+        let id = log.append(999, v1.into()).expect("foreign append");
+        assert!(log.wait_durable(id, Duration::from_secs(5)));
+        let err = claimed_epochs(&shard).expect_err("unframed entry must fail the scan");
+        assert!(err.contains(&format!("{id}")), "names the entry: {err}");
+        assert!(err.contains("bad record magic"), "typed error: {err}");
     }
 
     #[test]
