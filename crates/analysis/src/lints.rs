@@ -1247,7 +1247,7 @@ mod tests {
         );
         // The same source inside the stats scopes is categorically fine.
         assert!(lints_for("crates/metrics/src/lib.rs", src).is_empty());
-        assert!(lints_for("crates/bench/src/tcp.rs", src).is_empty());
+        assert!(lints_for("crates/bench/src/alloc_census.rs", src).is_empty());
     }
 
     #[test]

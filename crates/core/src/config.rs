@@ -9,8 +9,8 @@ pub struct ShardConfig {
     /// Leadership lease duration (paper §4.1.3). A primary that cannot
     /// renew self-demotes at lease end.
     pub lease: Duration,
-    /// How long before lease end a primary renews (renew interval =
-    /// `lease - renew_margin`... in practice we renew every `lease / 3`).
+    /// How often a primary renews its lease. `Default` and `fast()` set
+    /// `lease / 3`; `validate` requires it to be below `lease`.
     pub renew_interval: Duration,
     /// How long a replica refrains from campaigning after observing a
     /// renewal. MUST be strictly greater than `lease` so leases stay
@@ -32,12 +32,6 @@ pub struct ShardConfig {
     pub commit_window_bytes: usize,
     /// Transaction-log service configuration for this shard.
     pub log: LogConfig,
-    /// Snapshot scheduling: take a new snapshot once the un-snapshotted log
-    /// suffix exceeds `max(snapshot_min_bytes, dataset * snapshot_ratio)`
-    /// (§4.2.3).
-    pub snapshot_min_bytes: usize,
-    /// See `snapshot_min_bytes`.
-    pub snapshot_ratio: f64,
     /// Number of slot-range engine stripes. The 16384 hash slots are split
     /// into this many contiguous ranges, each guarded by its own mutex, so
     /// batches touching different stripes execute concurrently. `1` restores
@@ -69,8 +63,6 @@ impl Default for ShardConfig {
             commit_window_entries: 1024,
             commit_window_bytes: 4 << 20,
             log: LogConfig::instant(),
-            snapshot_min_bytes: 64 * 1024,
-            snapshot_ratio: 0.25,
             engine_stripes: 16,
             restore_workers: 0,
             snapshot_chunks: 16,
@@ -106,9 +98,6 @@ impl ShardConfig {
                 "renew interval ({:?}) must be below the lease ({:?})",
                 self.renew_interval, self.lease
             ));
-        }
-        if self.snapshot_ratio <= 0.0 {
-            return Err("snapshot_ratio must be positive".into());
         }
         if self.commit_window_entries == 0 || self.commit_window_bytes == 0 {
             return Err("commit window must allow at least one entry/byte".into());

@@ -109,7 +109,12 @@ impl std::error::Error for RestoreError {}
 /// How far to replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayTarget {
-    /// Replay to whatever the committed tail is when replay catches up.
+    /// Replay at least to the committed tail as it stood when the restore
+    /// attempt started, then stop. A live primary appends a lease renewal
+    /// every `renew_interval`, so the tail never stands still: entries past
+    /// that mark which arrive in the same read as it are applied, none is
+    /// waited for, and the caller's replication loop takes over from
+    /// `rs.applied`.
     Tail,
     /// Replay up to exactly this entry and stop — the off-box snapshotter's
     /// static data view (§4.2.2).
@@ -140,9 +145,9 @@ pub fn restore_replica(
 /// Restores a replica image for `shard_name` from the object store plus the
 /// transaction log.
 ///
-/// With `ReplayTarget::Tail` the returned state is caught up to the
-/// committed tail at return time; the caller's replication loop continues
-/// from there.
+/// With `ReplayTarget::Tail` the returned state covers everything committed
+/// before the call; the caller's replication loop continues from
+/// `rs.applied`.
 ///
 /// **Trim races.** An off-box snapshotter may publish a snapshot and trim
 /// the log prefix *between* our snapshot fetch and a replay read, making the
@@ -192,6 +197,11 @@ fn restore_replica_once(
     target: ReplayTarget,
     workers: usize,
 ) -> Result<RestorePoint, RestoreError> {
+    // Where replay may stop, and (`Exactly` only) where a read is clipped.
+    let (stop_at, upper) = match target {
+        ReplayTarget::Tail => (log.committed_tail(), None),
+        ReplayTarget::Exactly(id) => (id, Some(id)),
+    };
     let mut rs = ReplicaState::new();
     let mut seeded_from = None;
     let k = workers.max(1);
@@ -226,14 +236,8 @@ fn restore_replica_once(
     // Each batch folds control state sequentially and drains the deferred
     // data work per partition concurrently.
     'replay: loop {
-        let upper = match target {
-            ReplayTarget::Tail => None,
-            ReplayTarget::Exactly(id) => Some(id),
-        };
-        if let Some(limit) = upper {
-            if rs.applied >= limit {
-                break;
-            }
+        if rs.applied >= stop_at {
+            break;
         }
         let batch = log
             .read_committed_from(client, rs.applied, 512)

@@ -273,10 +273,6 @@ impl Node {
 
         let lock_dropped_us = self.metrics.now_us();
         let held_us = lock_dropped_us.saturating_sub(lock_acquired_us);
-        // Both views of the same span: `engine_lock_hold` keeps its historic
-        // name for existing dashboards; `stripe_lock_hold` is the per-stripe
-        // serving-lock hold the striping work gates on.
-        self.metrics.record_stage(StageId::EngineLockHold, held_us);
         self.metrics.record_stage(StageId::StripeLockHold, held_us);
         self.metrics.record_stage(
             StageId::Engine,

@@ -9,6 +9,7 @@ use crate::shard::{NodeIdGen, Shard};
 use bytes::Bytes;
 use memorydb_engine::exec::Role;
 use memorydb_engine::{cmd, Frame, SessionState};
+use memorydb_metrics::StageId;
 use memorydb_objectstore::ObjectStore;
 use std::sync::Arc;
 use std::time::Duration;
@@ -1011,6 +1012,26 @@ fn batch_replies_in_submission_order_and_one_append_call() {
     assert_eq!(replies[17], Frame::Integer(16));
     // Group commit: 16 mutations, ONE conditional append (one quorum ack).
     assert_eq!(calls_after - calls_before, 1, "batch must group-commit");
+
+    // K=1: sequential single-SET batches cannot share a flush, so every
+    // command pays exactly one append — none lost, none doubled, no
+    // batching delay. The burst starts right behind a lease renewal, so the
+    // only other appender is quiet for the next 600 ms.
+    let log = &shard.ctx().log;
+    let renewed = log.append_calls();
+    while log.append_calls() == renewed {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let calls_before = log.append_calls();
+    for i in 0..200 {
+        let one = [cmd(["SET", &format!("s{i}"), "v"])];
+        assert_eq!(primary.handle_batch(&mut s, &one), vec![Frame::ok()]);
+    }
+    assert_eq!(
+        log.append_calls() - calls_before,
+        200,
+        "200 sequential single-SET batches must append exactly once each"
+    );
 }
 
 /// Cross-connection group commit (the commit pipeline's tentpole claim):
@@ -1373,19 +1394,25 @@ fn restore_racing_snapshot_trim_retries_from_fresh_snapshot() {
         .set_read_delay(restorer_client, Some(Duration::from_millis(80)));
     let ctx = Arc::clone(shard.ctx());
     let restorer = std::thread::spawn(move || {
-        crate::restore::restore_replica(
+        let started = std::time::Instant::now();
+        let rp = crate::restore::restore_replica(
             &ctx.store,
             &ctx.log,
             restorer_client,
             &ctx.name,
             memorydb_engine::EngineVersion::CURRENT,
             crate::restore::ReplayTarget::Tail,
-        )
+        );
+        (rp, started.elapsed())
     });
 
-    // While the restorer is mid-replay, publish a covering snapshot and trim
+    // While the restorer is mid-replay — it found the store empty and is
+    // inside its first delayed read — publish a covering snapshot and trim
     // the whole prefix it was reading.
-    std::thread::sleep(Duration::from_millis(120));
+    let delayed_reads = shard.ctx().log.metrics().stage(StageId::ReadDelay);
+    while delayed_reads.count() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let offbox = OffboxSnapshotter::new(
         Arc::clone(shard.ctx()),
         memorydb_engine::EngineVersion::CURRENT,
@@ -1394,15 +1421,20 @@ fn restore_racing_snapshot_trim_retries_from_fresh_snapshot() {
     let (_, covered) = offbox.create_snapshot(true).expect("off-box snapshot");
     assert!(shard.ctx().log.first_available() > memorydb_txlog::EntryId::ZERO.next());
 
-    let rp = restorer
-        .join()
-        .unwrap()
-        .expect("restore racing a trim must retry from the fresh snapshot");
+    let (rp, took) = restorer.join().unwrap();
+    let rp = rp.expect("restore racing a trim must retry from the fresh snapshot");
     shard.ctx().log.set_read_delay(restorer_client, None);
+    // Liveness: each 80 ms read outlasts the primary's 50 ms renew interval,
+    // so the tail moves on every read; `Tail` stops at the tail it saw when
+    // the attempt started instead of chasing the renewals.
+    assert!(
+        took < Duration::from_secs(10),
+        "restore to Tail chased the primary's lease renewals for {took:?}"
+    );
 
     assert!(
-        rp.rs.applied >= covered,
-        "retried restore must land at or past the trimming snapshot"
+        rp.seeded_from.is_some_and(|seed| seed.covered == covered) && rp.rs.applied >= covered,
+        "retried restore must start from the trimming snapshot and land at or past it"
     );
     for i in 0..700 {
         assert!(
@@ -1614,7 +1646,6 @@ fn info_sections_and_latency_histogram_reflect_stage_metrics() {
     for stage in [
         "apply",
         "e2e",
-        "engine_lock_hold",
         "stripe_lock_hold",
         "durability",
         "log_append",
@@ -2552,6 +2583,7 @@ fn broken_delta_chain_falls_back_to_newest_full_plus_suffix() {
         primary.handle(&mut session, &cmd(["SET", &format!("c{i}"), "3"]));
     }
     assert!(shard.ctx().store.corrupt_for_test(&delta_key));
+    let tail = shard.ctx().log.committed_tail();
     let rp = restore_replica(
         &shard.ctx().store,
         &shard.ctx().log,
@@ -2564,7 +2596,7 @@ fn broken_delta_chain_falls_back_to_newest_full_plus_suffix() {
     let seed = rp.seeded_from.expect("must seed from the full snapshot");
     assert_eq!(seed.covered, full_covered);
     assert!(!seed.newest, "fallback seed must not count as newest");
-    assert_eq!(rp.rs.applied, shard.ctx().log.committed_tail());
+    assert!(rp.rs.applied >= tail, "must reach the committed tail");
     assert_eq!(rp.engine.db.len(), 70);
 }
 

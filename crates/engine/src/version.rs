@@ -6,12 +6,11 @@
 //! stream from a **newer** engine stops consuming the transaction log rather
 //! than risk misinterpreting commands it does not know.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A `major.minor.patch` engine version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EngineVersion {
     /// Major version.
     pub major: u16,

@@ -46,10 +46,11 @@ use std::time::Instant;
 /// Serving path (server + node registries):
 /// `io_read`/`io_write`/`parse` are per-sweep server spans, `engine` is the
 /// node span from engine-lock request to lock release (queueing + hold),
-/// `engine_lock_hold` is the hold alone, `apply` is one command's
-/// execution, `durability` is the `wait_durable` span, and `e2e` is the
-/// whole sweep (read + parse + dispatch + reply flush) — so
-/// `io_read + io_write + parse + engine + durability ≈ e2e`.
+/// `stripe_lock_hold` is the hold alone, `apply` is one command's
+/// execution, `commit_queue_wait` runs from lock release to the flush's
+/// append, `durability` from the append to the ticket resolving, and `e2e`
+/// is the node's whole batch span — so
+/// `engine + commit_queue_wait + durability ≈ e2e`.
 ///
 /// Durability path (txlog registry): `log_append` is the synchronous
 /// accept call, `quorum_ack` is accept→commit per entry, `log_read` is one
@@ -65,8 +66,6 @@ pub enum StageId {
     Parse,
     /// Node: engine-lock request → release (queueing + execution + staging).
     Engine,
-    /// Node: engine-lock acquisition → release (hold only).
-    EngineLockHold,
     /// Node: one stripe-lock acquisition → release (per-stripe hold; for
     /// all-stripe ops, the span from full acquisition to full release).
     StripeLockHold,
@@ -82,7 +81,7 @@ pub enum StageId {
     /// Node: entries per committer flush (a count histogram, not µs —
     /// the cross-connection group-commit batch size).
     CommitFlushEntries,
-    /// Server: one full sweep with traffic — read + parse + dispatch + flush.
+    /// Node: one client batch, submission → replies releasable.
     E2e,
     /// Txlog: one (batch) append accept call.
     LogAppend,
@@ -96,12 +95,11 @@ pub enum StageId {
 
 impl StageId {
     /// Every stage, in display order.
-    pub const ALL: [StageId; 16] = [
+    pub const ALL: [StageId; 15] = [
         StageId::IoRead,
         StageId::IoWrite,
         StageId::Parse,
         StageId::Engine,
-        StageId::EngineLockHold,
         StageId::StripeLockHold,
         StageId::Apply,
         StageId::CommitQueueWait,
@@ -122,7 +120,6 @@ impl StageId {
             StageId::IoWrite => "io_write",
             StageId::Parse => "parse",
             StageId::Engine => "engine",
-            StageId::EngineLockHold => "engine_lock_hold",
             StageId::StripeLockHold => "stripe_lock_hold",
             StageId::Apply => "apply",
             StageId::CommitQueueWait => "commit_queue_wait",

@@ -26,7 +26,7 @@
 //! consume stale data") and `QUIT`.
 
 use bytes::{Buf, Bytes, BytesMut};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{self, Receiver, Sender};
 use memorydb_core::{Node, SubmittedBatch};
 use memorydb_engine::{command_spec, CmdName, Frame, SessionState};
 use memorydb_metrics::{CounterId, GaugeId, StageId};
@@ -698,7 +698,6 @@ fn io_loop(
     let mut buf = vec![0u8; 16 * 1024];
     let mut pool = BufPool::default();
     let mut idle_spins = 0u32;
-    let mut accepting = true;
 
     let adopt = |stream: TcpStream, conns: &mut Vec<Conn>, pool: &mut BufPool| {
         if stream.set_nonblocking(true).is_ok() {
@@ -715,24 +714,22 @@ fn io_loop(
 
     loop {
         if shutdown.load(Ordering::Acquire) {
-            return; // dropping conns closes the sockets
-        }
-        if accepting {
-            loop {
-                match rx.try_recv() {
-                    Ok(IoMsg::Conn(s)) => adopt(s, &mut conns, &mut pool),
-                    // Wake-ups while already sweeping carry no extra info.
-                    Ok(IoMsg::Wake) => {}
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        accepting = false;
-                        break;
-                    }
-                }
+            // Dropping conns closes the sockets; the node's registry (and
+            // its `connected_clients` gauge) outlives the server. A thread
+            // with nothing to subtract must not republish the total.
+            if !conns.is_empty() {
+                track_clients(&node, &live, -(conns.len() as i64));
             }
-        }
-        if !accepting && conns.is_empty() {
             return;
+        }
+        // This thread owns `wake_tx`, a sender to its own channel, so the
+        // channel never disconnects: an error here only means "empty".
+        while let Ok(msg) = rx.try_recv() {
+            match msg {
+                IoMsg::Conn(s) => adopt(s, &mut conns, &mut pool),
+                // Wake-ups while already sweeping carry no extra info.
+                IoMsg::Wake => {}
+            }
         }
 
         let mut progressed = false;
@@ -774,18 +771,13 @@ fn io_loop(
         } else {
             Duration::from_millis(1)
         };
-        if accepting {
-            match rx.recv_timeout(nap) {
-                Ok(IoMsg::Conn(s)) => {
-                    adopt(s, &mut conns, &mut pool);
-                    idle_spins = 0;
-                }
-                Ok(IoMsg::Wake) => idle_spins = 0,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => accepting = false,
+        match rx.recv_timeout(nap) {
+            Ok(IoMsg::Conn(s)) => {
+                adopt(s, &mut conns, &mut pool);
+                idle_spins = 0;
             }
-        } else {
-            std::thread::sleep(nap);
+            Ok(IoMsg::Wake) => idle_spins = 0,
+            Err(_) => {} // timed out
         }
     }
 }
