@@ -2,8 +2,8 @@
 // Positive cases: an A->B / B->A acquisition inversion split across two
 // functions, plus a direct re-acquisition self-loop.
 // Negative cases: same-order acquisitions, guard dropped before the second
-// lock, and a stripes lock_all followed by another lock (stripes collapse
-// to one node, so the canonical ascending order is not a cycle).
+// lock, and an engine lock followed by another lock that is never taken in
+// the opposite order.
 
 pub fn positive_ab(&self) {
     let a = self.alpha.lock();
@@ -40,9 +40,9 @@ pub fn negative_drop_between(&self) {
     drop(a);
 }
 
-pub fn negative_stripes_then_state(&self) {
-    let guards = self.stripes.lock_all();
+pub fn negative_engine_then_state(&self) {
+    let engine = self.engine.lock();
     let st = self.delta.lock();
     drop(st);
-    drop(guards);
+    drop(engine);
 }

@@ -1,6 +1,6 @@
 //! Workspace invariant analyzer for the MemoryDB reproduction.
 //!
-//! Nine lint families, each protecting one leg of the paper's
+//! Eight lint families, each protecting one leg of the paper's
 //! consistency/availability argument (see DESIGN.md "Enforced invariants"):
 //!
 //! 1. **panic-freedom** — no `unwrap`/`expect`/panic macros/direct indexing
@@ -18,23 +18,17 @@
 //!    a multiplexed IO thread that blocks in `wait_durable`/`wait_finish`
 //!    stalls every connection it sweeps; replies must park on commit tickets
 //!    instead (DESIGN.md §11). No site is baselined today.
-//! 6. **stripe-order** — no nested stripe-lock acquisition (a further
-//!    `lock_one`/`lock_all` while a stripe guard is live) and no raw
-//!    stripe-mutex use outside the stripes module; multi-stripe work must
-//!    take one `lock_all()` in canonical ascending order (DESIGN.md §12).
-//!    The stripe guards also feed lint 2: none may be held across a
-//!    blocking durability or storage wait.
-//! 7. **atomics-ordering** — every `Ordering::Relaxed` site is classified:
+//! 6. **atomics-ordering** — every `Ordering::Relaxed` site is classified:
 //!    metrics/bench scopes and pure counter RMW (`fetch_add` family) are
 //!    allowed; `Relaxed` on anything else gates a cross-thread handoff
 //!    (released flags, watermark reads, in-flight window observations) and
 //!    is a finding unless baselined with a written justification. There is
 //!    no silent third bucket: the census in [`WorkspaceAnalysis::atomics`]
 //!    is total over sites.
-//! 8. **lock-order** — the whole-workspace acquisition graph built by
+//! 7. **lock-order** — the whole-workspace acquisition graph built by
 //!    [`lockgraph`] must be acyclic; each cycle is one potential-deadlock
 //!    finding naming the full lock path.
-//! 9. **zero-copy** — on the serve-path files (the server's parse→submit
+//! 8. **zero-copy** — on the serve-path files (the server's parse→submit
 //!    pipeline and the RESP decoder), no `.to_vec()` and no `.clone()` of
 //!    command-argument vectors or wire buffers: each copies bytes the
 //!    borrowed decode deliberately shares and regresses the allocation
@@ -67,7 +61,7 @@ use std::path::{Path, PathBuf};
 pub struct Finding {
     /// Lint family name ("panic-freedom", "lock-discipline",
     /// "sim-determinism", "sync-primitives", "durability-wait",
-    /// "stripe-order", "atomics-ordering", "lock-order").
+    /// "atomics-ordering", "lock-order", "zero-copy").
     pub lint: &'static str,
     /// Workspace-relative path with forward slashes.
     pub file: String,

@@ -26,9 +26,7 @@ const PANIC_SCOPE: &[&str] = &[
     "crates/core/src/apply.rs",
     "crates/core/src/commit.rs",
     "crates/core/src/node.rs",
-    "crates/core/src/route.rs",
     "crates/core/src/serve.rs",
-    "crates/core/src/stripes.rs",
     "crates/txlog/src/service.rs",
     "crates/resp/src/decode.rs",
 ];
@@ -44,9 +42,7 @@ const INDEX_SCOPE: &[&str] = &[
     "crates/core/src/apply.rs",
     "crates/core/src/commit.rs",
     "crates/core/src/node.rs",
-    "crates/core/src/route.rs",
     "crates/core/src/serve.rs",
-    "crates/core/src/stripes.rs",
     "crates/txlog/src/service.rs",
     "crates/resp/src/decode.rs",
 ];
@@ -84,36 +80,15 @@ const DURABILITY_WAIT_METHODS: &[&str] = &[
 /// is not mistaken for a lock). `try_lock` guards arrive through
 /// `if let Some(g) = m.try_lock()` / `let Some(g) = m.try_lock() else`
 /// bindings, which [`parse_guard_binding`] also understands.
-const GUARD_METHODS: &[&str] = &[
-    "lock",
-    "try_lock",
-    "read",
-    "write",
-    "upgradable_read",
-    "lock_all",
-];
-
-/// Guard-returning methods that take arguments (`lock_one(idx)` returns the
-/// stripe guard set for one stripe).
-const GUARD_METHODS_WITH_ARGS: &[&str] = &["lock_one"];
-
-/// Stripe-guard constructors: the only sanctioned stripe-lock acquisition
-/// paths. Acquiring another stripe guard while one is live violates the
-/// canonical ascending-order acquisition (`EngineStripes::lock_all`) that
-/// makes multi-stripe locking deadlock-free (DESIGN.md §12).
-const STRIPE_GUARD_METHODS: &[&str] = &["lock_one", "lock_all"];
-
-/// The one module allowed to touch the raw stripe mutexes; everywhere else
-/// must go through `lock_one`/`lock_all`.
-const STRIPE_MODULE: &str = "crates/core/src/stripes.rs";
+pub(crate) const GUARD_METHODS: &[&str] = &["lock", "try_lock", "read", "write", "upgradable_read"];
 
 /// Methods that block on remote durability / storage while running:
 /// holding any lock guard across these defeats PR-1 group commit and stalls
 /// the engine for a multi-AZ round trip. Always a violation.
 /// `try_self_flush` is the submitter-led group-commit flush (§11) — a log
-/// append on the submitting connection's thread, so holding a stripe guard
-/// (or `st`) across it would serialize every other stripe behind one
-/// connection's append.
+/// append on the submitting connection's thread, so holding the engine
+/// guard (or `st`) across it would serialize every other connection behind
+/// one connection's append.
 const BLOCKING_METHODS: &[&str] = &["wait_durable", "wait_for_entries", "put", "try_self_flush"];
 
 /// Non-blocking ordered-append calls into the txlog. Holding the engine/state
@@ -154,9 +129,6 @@ pub(crate) fn lint_tokens(rel: &str, toks: &[Tok]) -> Vec<RawFinding> {
     lock_discipline(toks, &mut out);
     sync_primitives(toks, &mut out);
     atomics_ordering(rel, toks, &mut out);
-    if rel != STRIPE_MODULE {
-        stripe_order(toks, &mut out);
-    }
     out.sort_by_key(|f| f.line);
     out
 }
@@ -304,7 +276,7 @@ fn durability_wait(toks: &[Tok], out: &mut Vec<RawFinding>) {
     }
 }
 
-/// (9) zero-copy: on the serve-path files, `.to_vec()` anywhere and
+/// (8) zero-copy: on the serve-path files, `.to_vec()` anywhere and
 /// `.clone()` whose receiver is a command-argument vector or wire buffer
 /// ([`CMD_BYTES_IDENTS`], directly or through an index expression) are
 /// findings. Each copies bytes the borrowed-decode path deliberately
@@ -422,7 +394,7 @@ fn sync_primitives(toks: &[Tok], out: &mut Vec<RawFinding>) {
 }
 
 /// A live lock guard: `let`-bound, final call in its initializer was a
-/// guard-returning method (empty argument list, or `lock_one(idx)`).
+/// guard-returning method with an empty argument list.
 #[derive(Clone)]
 struct Guard {
     name: String,
@@ -525,99 +497,6 @@ fn lock_discipline(toks: &[Tok], out: &mut Vec<RawFinding>) {
     }
 }
 
-/// (6) stripe-order: the only sanctioned multi-stripe acquisition is one
-/// `lock_all()` (canonical ascending order); acquiring any further stripe
-/// guard while one is live can deadlock against a concurrent `lock_all`.
-/// Raw stripe mutexes (`lock_counting`) are private to the stripes module —
-/// mentioning them anywhere else means someone is bypassing the helpers.
-fn stripe_order(toks: &[Tok], out: &mut Vec<RawFinding>) {
-    let mut depth: i32 = 0;
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut pending: Vec<(usize, Guard)> = Vec::new();
-
-    let mut i = 0;
-    while i < toks.len() {
-        pending.retain(|(at, g)| {
-            if *at <= i {
-                guards.push(g.clone());
-                false
-            } else {
-                true
-            }
-        });
-
-        let t = &toks[i];
-        match &t.kind {
-            Punct('{') => depth += 1,
-            Punct('}') => {
-                depth -= 1;
-                let d = depth;
-                guards.retain(|g| g.depth <= d);
-                pending.retain(|(_, g)| g.depth <= d);
-            }
-            Ident(id) if id == "lock_counting" && !t.in_test => {
-                out.push(RawFinding {
-                    lint: "stripe-order",
-                    line: t.line,
-                    message: "raw stripe-mutex acquisition outside the stripes module; \
-                              all stripe locking must go through \
-                              `EngineStripes::lock_one`/`lock_all` so acquisition \
-                              order stays canonical (DESIGN.md \u{a7}12)"
-                        .to_string(),
-                });
-            }
-            Ident(id) if id == "let" && !t.in_test => {
-                if let Some(gb) = parse_guard_binding(toks, i, depth) {
-                    if STRIPE_GUARD_METHODS.contains(&gb.method.as_str()) {
-                        pending.push((
-                            gb.activate_at,
-                            Guard {
-                                name: gb.name,
-                                depth: gb.guard_depth,
-                            },
-                        ));
-                    }
-                }
-            }
-            Ident(id) if id == "drop" && !t.in_test => {
-                let name = toks
-                    .get(i + 1)
-                    .filter(|n| n.is_punct('('))
-                    .and_then(|_| toks.get(i + 2))
-                    .and_then(|n| n.ident())
-                    .filter(|_| toks.get(i + 3).is_some_and(|n| n.is_punct(')')));
-                if let Some(name) = name {
-                    guards.retain(|g| g.name != name);
-                    pending.retain(|(_, g)| g.name != name);
-                }
-            }
-            Punct('.') if !t.in_test && !guards.is_empty() => {
-                let method = toks
-                    .get(i + 1)
-                    .and_then(|n| n.ident())
-                    .filter(|_| toks.get(i + 2).is_some_and(|n| n.is_punct('(')));
-                if let Some(m) = method.filter(|m| STRIPE_GUARD_METHODS.contains(m)) {
-                    let names: Vec<&str> = guards.iter().map(|g| g.name.as_str()).collect();
-                    let names = names.join(", ");
-                    let line = toks.get(i + 1).map_or(t.line, |n| n.line);
-                    out.push(RawFinding {
-                        lint: "stripe-order",
-                        line,
-                        message: format!(
-                            "`.{m}()` while stripe guard(s) `{names}` are live; nested \
-                             stripe acquisition breaks the canonical ascending lock \
-                             order that makes `lock_all` deadlock-free — take one \
-                             `lock_all()` up front instead (DESIGN.md \u{a7}12)"
-                        ),
-                    });
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
 /// A parsed guard-producing binding. Three shapes are recognised:
 ///
 /// * `let [mut] NAME = <expr ending in .method(...)>;` — live after the `;`.
@@ -653,8 +532,7 @@ pub(crate) struct GuardBinding {
 impl GuardBinding {
     /// Does this binding hold a lock guard (by method name and arity)?
     pub(crate) fn is_lock_guard(&self) -> bool {
-        (self.empty_args && GUARD_METHODS.contains(&self.method.as_str()))
-            || GUARD_METHODS_WITH_ARGS.contains(&self.method.as_str())
+        self.empty_args && GUARD_METHODS.contains(&self.method.as_str())
     }
 }
 
@@ -823,7 +701,7 @@ fn final_method_call(tail: &[Tok]) -> Option<(String, usize, bool, Option<String
 }
 
 // ---------------------------------------------------------------------------
-// (7) atomics-ordering
+// (6) atomics-ordering
 // ---------------------------------------------------------------------------
 
 /// Atomic RMW methods whose `Relaxed` use is always a counter/gauge update:
@@ -934,7 +812,7 @@ fn enclosing_atomic_call(toks: &[Tok], ord_idx: usize) -> Option<(String, String
     None
 }
 
-/// (7) atomics-ordering: every `Ordering::Relaxed` outside the stats crates
+/// (6) atomics-ordering: every `Ordering::Relaxed` outside the stats crates
 /// must be a counter RMW; loads/stores/swaps/CAS become findings that need
 /// a written justification in analysis.toml (or a stronger ordering).
 fn atomics_ordering(rel: &str, toks: &[Tok], out: &mut Vec<RawFinding>) {
@@ -1087,15 +965,15 @@ mod tests {
     #[test]
     fn self_flush_under_guard_is_reported() {
         // The submitter-led flush appends to the log on the calling
-        // thread; calling it with a stripe guard live is a violation, and
-        // calling it after the guards drop is the sanctioned shape.
+        // thread; calling it with the engine guard live is a violation, and
+        // calling it after the guard drops is the sanctioned shape.
         let src = "fn f(&self) {\n\
-                   let guards = self.stripes.lock_one(idx);\n\
+                   let engine = self.engine.lock();\n\
                    self.try_self_flush();\n\
                    }\n\
                    fn g(&self) {\n\
-                   let guards = self.stripes.lock_one(idx);\n\
-                   drop(guards);\n\
+                   let engine = self.engine.lock();\n\
+                   drop(engine);\n\
                    self.try_self_flush();\n\
                    }\n";
         assert_eq!(
@@ -1105,54 +983,20 @@ mod tests {
     }
 
     #[test]
-    fn stripe_guard_across_blocking_wait() {
-        // `lock_all()` (empty args) and `lock_one(idx)` (with args) both
-        // register as guards for the lock-discipline pass.
+    fn engine_guard_won_by_try_lock_then_rebound_stays_tracked() {
+        // The serve path's shape: the guard is bound by the `try_lock`,
+        // rebound under the same name through the contended fallback, and
+        // ends at `drop(engine)`.
         let src = "fn f(&self) {\n\
-                   let mut guards = self.stripes.lock_all();\n\
+                   let engine = self.engine.try_lock();\n\
+                   let mut engine = engine.unwrap_or_else(|| self.lock_engine_contended());\n\
                    self.log.wait_durable(id);\n\
-                   }\n\
-                   fn g(&self, idx: usize) {\n\
-                   let guards = self.stripes.lock_one(idx);\n\
-                   self.log.wait_durable(id);\n\
+                   drop(engine);\n\
+                   self.try_self_flush();\n\
                    }\n";
         assert_eq!(
             lints_for("crates/core/src/x.rs", src),
-            vec!["lock-discipline:3", "lock-discipline:7"]
-        );
-    }
-
-    #[test]
-    fn nested_stripe_acquisition_is_flagged() {
-        let src = "fn f(&self) {\n\
-                   let mut guards = self.stripes.lock_one(0);\n\
-                   let more = self.stripes.lock_all();\n\
-                   }\n";
-        assert_eq!(
-            lints_for("crates/core/src/x.rs", src),
-            vec!["stripe-order:3"]
-        );
-        // The stripes module itself (lock_all's own implementation calls
-        // lock_counting per stripe) is exempt.
-        assert!(lints_for("crates/core/src/stripes.rs", src).is_empty());
-    }
-
-    #[test]
-    fn dropped_stripe_guard_allows_reacquisition() {
-        let src = "fn f(&self) {\n\
-                   let guards = self.stripes.lock_one(0);\n\
-                   drop(guards);\n\
-                   let more = self.stripes.lock_all();\n\
-                   }\n";
-        assert!(lints_for("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_stripe_mutex_use_is_flagged_outside_module() {
-        let src = "fn f(&self) { let g = self.stripes.lock_counting(&m); }\n";
-        assert_eq!(
-            lints_for("crates/core/src/x.rs", src),
-            vec!["stripe-order:1"]
+            vec!["lock-discipline:4"]
         );
     }
 

@@ -1,7 +1,7 @@
 //! Whole-workspace lock-order graph (lint family "lock-order").
 //!
 //! Every lock acquisition in non-test code becomes a node named after the
-//! lock it takes (`node.st`, `pipeline.q`, `txlog.inner`, `core.stripes`,
+//! lock it takes (`node.engine`, `node.st`, `pipeline.q`, `txlog.inner`,
 //! ...), and an edge `A -> B` is recorded whenever `B` is acquired — either
 //! directly or transitively through a call chain — while `A` is held. A
 //! cycle in that graph is a potential deadlock: two threads can enter the
@@ -25,31 +25,17 @@
 //!   and self-edges are only believed when the *same function* re-acquires
 //!   the node directly (a call-propagated `A -> A` is far more likely a
 //!   name collision than a real recursive acquisition).
-//! * **Stripes are one node.** `lock_one`/`lock_all`/`lock_counting` all map
-//!   to `core.stripes`, and a stripe acquisition made while stripes are
-//!   already held is skipped: the canonical ascending acquisition order
-//!   inside `EngineStripes::lock_all` is deadlock-free by construction
-//!   (DESIGN.md §12) and nested acquisition *outside* it is the
-//!   stripe-order lint's finding, not this graph's.
 
 use crate::lexer::{scan, Tok, TokKind};
-use crate::lints::{parse_guard_binding, GuardBinding};
+use crate::lints::{parse_guard_binding, GUARD_METHODS};
 use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// The single graph node for the slot-range stripe set.
-pub const STRIPES_NODE: &str = "core.stripes";
-
-/// Methods that acquire a lock when called with an empty argument list.
-const ACQUIRE_EMPTY: &[&str] = &["lock", "try_lock", "read", "write", "upgradable_read"];
-
-/// Stripe acquisition paths (any arity).
-const ACQUIRE_STRIPE: &[&str] = &["lock_one", "lock_all", "lock_counting"];
 
 /// Function names never treated as call-graph edges: ubiquitous names whose
 /// workspace definitions would be linked from nearly every call site. Most
 /// are std trait/inherent methods a workspace `fn` happens to shadow — e.g.
-/// every `atomic.load(..)` would otherwise resolve to `rdb::load`, every
+/// every `atomic.load(..)` would otherwise resolve to `rdb::load` (and
+/// `rdb::dump` to the baseline comparator's `dump`), every
 /// `Iterator::count`/`::position` to `Histogram::count`/`Node::position`,
 /// and `debug_struct(..).finish()` to the consistency checker's `finish`.
 const CALL_DENYLIST: &[&str] = &[
@@ -97,6 +83,7 @@ const CALL_DENYLIST: &[&str] = &[
     "execute",
     "finish",
     "load",
+    "dump",
     "store",
     "count",
     "position",
@@ -109,14 +96,13 @@ const CALL_DENYLIST: &[&str] = &[
     "read",
     "write",
     "upgradable_read",
-    "lock_one",
-    "lock_all",
-    "lock_counting",
 ];
 
 /// Known serving-path locks: (file, receiver) → stable node name. Everything
 /// else falls back to `<crate>[.<file-stem>].<receiver>`.
 const KNOWN_LOCKS: &[(&str, &str, &str)] = &[
+    ("crates/core/src/node.rs", "engine", "node.engine"),
+    ("crates/core/src/serve.rs", "engine", "node.engine"),
     ("crates/core/src/node.rs", "st", "node.st"),
     ("crates/core/src/serve.rs", "st", "node.st"),
     ("crates/core/src/commit.rs", "st", "node.st"),
@@ -133,10 +119,7 @@ const KNOWN_LOCKS: &[(&str, &str, &str)] = &[
 
 /// Names the lock a call site acquires. `None` receiver means the receiver
 /// was not a plain ident (a chained call) — named `anon`.
-fn lock_node(rel: &str, receiver: Option<&str>, method: &str) -> String {
-    if ACQUIRE_STRIPE.contains(&method) || rel == "crates/core/src/stripes.rs" {
-        return STRIPES_NODE.to_string();
-    }
+fn lock_node(rel: &str, receiver: Option<&str>) -> String {
     let recv = receiver.unwrap_or("anon");
     for (file, r, name) in KNOWN_LOCKS {
         if *file == rel && *r == recv {
@@ -269,9 +252,6 @@ impl LockGraph {
             for a in &f.acquires {
                 g.nodes.insert(a.node.clone());
                 for h in &a.held {
-                    if h == STRIPES_NODE && a.node == STRIPES_NODE {
-                        continue; // canonical ascending order inside lock_all
-                    }
                     g.add_edge(h, &a.node, f, a.line, None);
                 }
             }
@@ -287,9 +267,6 @@ impl LockGraph {
                     for b in &reachable {
                         if h == b {
                             continue; // call-propagated self-edge: collision tolerance
-                        }
-                        if h == STRIPES_NODE && *b == STRIPES_NODE {
-                            continue;
                         }
                         g.add_edge(h, b, f, c.line, Some(c.callee.as_str()));
                     }
@@ -645,8 +622,8 @@ fn extract_fns(rel: &str, toks: &[Tok], out: &mut Vec<FnInfo>) {
                 }
                 TokKind::Ident(id) if id == "let" && !t.in_test => {
                     if let Some(gb) = parse_guard_binding(toks, i, depth) {
-                        if is_acquire(&gb) {
-                            let node = lock_node(rel, gb.receiver.as_deref(), gb.method.as_str());
+                        if gb.is_lock_guard() {
+                            let node = lock_node(rel, gb.receiver.as_deref());
                             record_acquire(&mut info, toks[gb.method_idx].line, &node, &guards);
                             consumed.insert(gb.method_idx);
                             pending.push((
@@ -681,12 +658,11 @@ fn extract_fns(rel: &str, toks: &[Tok], out: &mut Vec<FnInfo>) {
                         .filter(|_| toks.get(i + 2).is_some_and(|n| n.is_punct('(')));
                     if let Some(m) = method {
                         let empty = toks.get(i + 3).is_some_and(|n| n.is_punct(')'));
-                        let acquires = !consumed.contains(&m_idx)
-                            && ((empty && ACQUIRE_EMPTY.contains(&m))
-                                || ACQUIRE_STRIPE.contains(&m));
+                        let acquires =
+                            !consumed.contains(&m_idx) && empty && GUARD_METHODS.contains(&m);
                         if acquires {
                             let recv = i.checked_sub(1).and_then(|p| toks[p].ident());
-                            let node = lock_node(rel, recv, m);
+                            let node = lock_node(rel, recv);
                             record_acquire(&mut info, toks[m_idx].line, &node, &guards);
                             consumed.insert(m_idx);
                         }
@@ -732,11 +708,6 @@ struct LiveGuard {
     name: String,
     node: String,
     depth: i32,
-}
-
-fn is_acquire(gb: &GuardBinding) -> bool {
-    (gb.empty_args && ACQUIRE_EMPTY.contains(&gb.method.as_str()))
-        || ACQUIRE_STRIPE.contains(&gb.method.as_str())
 }
 
 fn record_acquire(info: &mut FnInfo, line: u32, node: &str, guards: &[LiveGuard]) {
@@ -819,28 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn stripes_lock_all_is_one_node_and_no_self_edge() {
-        let g = graph(&[
-            (
-                "crates/core/src/stripes.rs",
-                "pub fn lock_all(&self) {\n    for m in &self.stripes {\n        let g = m.lock();\n    }\n}\n",
-            ),
-            (
-                "crates/demo/src/a.rs",
-                "pub fn f(&self) {\n    let guards = self.stripes.lock_all();\n    let s = self.state.lock();\n}\n",
-            ),
-        ]);
-        assert!(g.nodes.contains(STRIPES_NODE));
-        assert!(!g
-            .edges
-            .contains_key(&(STRIPES_NODE.to_string(), STRIPES_NODE.to_string())));
-        assert!(g
-            .edges
-            .contains_key(&(STRIPES_NODE.to_string(), "demo.a.state".to_string())));
-        assert!(g.cycles().is_empty(), "cycles: {:?}", g.cycles());
-    }
-
-    #[test]
     fn direct_self_reacquisition_is_a_self_loop_cycle() {
         let g = graph(&[(
             "crates/demo/src/a.rs",
@@ -878,29 +827,23 @@ mod tests {
 
     #[test]
     fn known_lock_table_names_serving_path_nodes() {
+        assert_eq!(lock_node("crates/core/src/node.rs", Some("st")), "node.st");
         assert_eq!(
-            lock_node("crates/core/src/node.rs", Some("st"), "lock"),
-            "node.st"
+            lock_node("crates/core/src/serve.rs", Some("engine")),
+            "node.engine"
         );
         assert_eq!(
-            lock_node("crates/core/src/commit.rs", Some("flush_token"), "try_lock"),
+            lock_node("crates/core/src/commit.rs", Some("flush_token")),
             "node.flush_token"
         );
         assert_eq!(
-            lock_node("crates/txlog/src/service.rs", Some("inner"), "lock"),
+            lock_node("crates/txlog/src/service.rs", Some("inner")),
             "txlog.inner"
         );
         assert_eq!(
-            lock_node("crates/core/src/stripes.rs", Some("m"), "lock"),
-            STRIPES_NODE
-        );
-        assert_eq!(
-            lock_node("crates/server/src/lib.rs", Some("conn_threads"), "lock"),
+            lock_node("crates/server/src/lib.rs", Some("conn_threads")),
             "server.conn_threads"
         );
-        assert_eq!(
-            lock_node("crates/demo/src/a.rs", None, "lock"),
-            "demo.a.anon"
-        );
+        assert_eq!(lock_node("crates/demo/src/a.rs", None), "demo.a.anon");
     }
 }

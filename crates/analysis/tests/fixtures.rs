@@ -94,38 +94,6 @@ fn lock_fixture_flags_guards_across_waits() {
 }
 
 #[test]
-fn stripe_fixture_flags_nested_acquisition_and_guarded_waits() {
-    let src = fixture("stripe_order.rs");
-    // Both passes are workspace-wide: any non-stripes path works.
-    let findings = analyze_source("crates/core/src/anywhere.rs", &src);
-    let stripe: Vec<_> = findings
-        .iter()
-        .filter(|f| f.lint == "stripe-order")
-        .collect();
-    let lockd: Vec<_> = findings
-        .iter()
-        .filter(|f| f.lint == "lock-discipline")
-        .collect();
-    assert_eq!(
-        stripe.len(),
-        3,
-        "expected nested lock_all, nested lock_one, raw bypass:\n{findings:#?}"
-    );
-    assert_eq!(
-        lockd.len(),
-        2,
-        "expected wait_durable and put under stripe guards:\n{findings:#?}"
-    );
-    assert_eq!(findings.len(), 5, "{findings:#?}");
-    assert_only_positives(&findings, &src);
-
-    // The stripes module itself implements lock_one/lock_all over the raw
-    // mutexes; the stripe-order lint must not fire there.
-    let in_module = analyze_source("crates/core/src/stripes.rs", &src);
-    assert!(in_module.iter().all(|f| f.lint != "stripe-order"));
-}
-
-#[test]
 fn determinism_fixture_flags_wall_clock_and_entropy() {
     let src = fixture("nondeterminism.rs");
     let findings = analyze_source("crates/sim/src/chaos.rs", &src);
@@ -202,17 +170,16 @@ fn lock_cycle_fixture_is_flagged_by_the_lockgraph() {
             .any(|f| f.snippet.contains("gamma -> core.anywhere.gamma")),
         "{findings:#?}"
     );
-    // The stripes special case: lock_all then another lock is a plain edge
-    // out of the single stripes node, never a cycle.
-    let stripes_edge = (
-        memorydb_analysis::lockgraph::STRIPES_NODE.to_string(),
+    // One-way nesting is a plain edge, never a cycle.
+    let engine_edge = (
+        "core.anywhere.engine".to_string(),
         "core.anywhere.delta".to_string(),
     );
-    assert!(g.edges.contains_key(&stripes_edge), "{:?}", g.edges.keys());
+    assert!(g.edges.contains_key(&engine_edge), "{:?}", g.edges.keys());
     assert!(!g
         .cycles()
         .iter()
-        .any(|c| c.contains(&memorydb_analysis::lockgraph::STRIPES_NODE.to_string())));
+        .any(|c| c.contains(&"core.anywhere.engine".to_string())));
 }
 
 #[test]

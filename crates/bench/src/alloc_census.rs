@@ -4,7 +4,7 @@
 //! BtrLog's low-concurrency thesis applies to the wire path too: at
 //! pipeline depth 1 there is no batching to amortize anything, so
 //! allocations-per-command is a direct proxy for the per-command constant
-//! cost — and unlike the stripe-scaling gates, a 1-core CI box measures it
+//! cost — and being a count, not a time, a 1-core CI box measures it
 //! perfectly well. The harness drives a real multiplexed
 //! [`memorydb_server::Server`] over loopback TCP with **pre-encoded wire
 //! bytes** and `read_exact` reply verification, so the client side of the
@@ -209,7 +209,7 @@ pub fn run(commands: u64) -> Vec<AllocRow> {
 }
 
 /// The smoke gate. Always active — allocation counting needs exactly one
-/// core, so unlike the stripe-scaling gates there is no parallelism guard.
+/// core, so there is no parallelism guard.
 /// Each measured row must (a) stay under its pinned absolute budget and
 /// (b) show ≥50% fewer allocations-per-command than the pre-PR baseline
 /// row. Empty means pass.

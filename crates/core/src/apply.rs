@@ -113,7 +113,7 @@ impl ReplicaState {
 
     /// Folds an executed command's dirty-key set into the dirty-slot bitmap
     /// (primaries call this next to [`fold_appended_payload`]; consumers get
-    /// the equivalent marking inside [`apply_entry_striped`]).
+    /// the equivalent marking inside [`fold_entry_deferred`]).
     pub fn mark_dirty(&mut self, dirty: &DirtySet) {
         match dirty {
             DirtySet::None => {}
@@ -133,17 +133,6 @@ impl Default for ReplicaState {
     }
 }
 
-/// Applies one committed log entry to `(engine, rs)` — the unstriped form,
-/// equivalent to [`apply_entry_striped`] with a single stripe.
-pub fn apply_entry(
-    engine: &mut Engine,
-    rs: &mut ReplicaState,
-    entry: &LogEntry,
-    my_version: EngineVersion,
-) -> Result<(), HaltReason> {
-    apply_entry_striped(&mut [engine], |_| 0, rs, entry, my_version)
-}
-
 /// The slot an effect touches, for routing and dirty-slot tracking: keyed
 /// effects touch the slot of their first key (all of an effect's keys share
 /// a slot — the primary enforced CROSSSLOT before logging, and effect
@@ -155,64 +144,25 @@ pub(crate) fn effect_slot(eff: &EffectCmd) -> Option<u16> {
         .map(|key| key_hash_slot(&key))
 }
 
-/// Whether a keyless effect applies to *every* stripe (`FLUSHALL`/`FLUSHDB`).
-/// Any other keyless effect goes to stripe 0, matching the single-engine
-/// behavior exactly when `n == 1`. Shared by the immediate striped apply and
-/// the parallel-restore task router so both agree on broadcast semantics.
-pub(crate) fn is_broadcast_effect(eff: &EffectCmd) -> bool {
-    let name = eff
-        .first()
-        .map(|b| String::from_utf8_lossy(b).to_ascii_uppercase())
-        .unwrap_or_default();
-    name == "FLUSHALL" || name == "FLUSHDB"
-}
-
-/// Routes one effect to its owning stripe engine. Keyed effects go to the
-/// stripe of their slot (see [`effect_slot`]); broadcast effects apply to
-/// every stripe; remaining keyless effects go to stripe 0.
-fn apply_effect_striped(
-    engines: &mut [&mut Engine],
-    stripe_of: &impl Fn(u16) -> usize,
-    eff: &EffectCmd,
-) -> Result<(), String> {
-    if let Some(slot) = effect_slot(eff) {
-        let idx = stripe_of(slot);
-        return match engines.get_mut(idx) {
-            Some(e) => e.apply_effect(eff),
-            None => Err(format!("stripe index {idx} out of range")),
-        };
-    }
-    if is_broadcast_effect(eff) {
-        for e in engines.iter_mut() {
-            e.apply_effect(eff)?;
-        }
-        return Ok(());
-    }
-    match engines.first_mut() {
-        Some(e) => e.apply_effect(eff),
-        None => Err("no stripe engines".into()),
-    }
-}
-
-/// Data-changing work an entry defers to its owning stripe(s) after the
-/// control fold. Produced by [`fold_entry_deferred`]; the immediate path
-/// ([`apply_entry_striped`]) executes it on the spot, the parallel restore
-/// queues it per stripe and drains the queues concurrently — per-stripe
-/// queue order equals log order, the invariant striped replay pins.
+/// Data-changing work an entry defers to the engine after the control
+/// fold. Produced by [`fold_entry_deferred`]; the immediate path
+/// ([`apply_entry`]) executes it on the spot, the parallel restore queues it
+/// per slot partition and drains the queues concurrently — per-partition
+/// queue order equals log order.
 pub(crate) enum DeferredWork {
     /// Nothing to run on an engine (pure control record).
     None,
     /// Version-checked effects, in log order.
     Effects(Vec<EffectCmd>),
-    /// `MigrationDone`: the owning stripe deletes the slot's data (§5.2).
+    /// `MigrationDone`: delete the slot's data (§5.2).
     DeleteSlot(u16),
 }
 
 /// Folds one committed entry's *control* state into `rs` — decode, upgrade
 /// gate, leadership/epoch, checksum chain + probe verification, slot
 /// ownership, dirty-slot tracking — and returns the data-changing work to
-/// run against the engines. The single source of truth for log application:
-/// both the immediate striped apply and the parallel restore build on it.
+/// run against the engine. The single source of truth for log application:
+/// both the immediate apply and the parallel restore build on it.
 ///
 /// On `Err` the halt is recorded in `rs.halted` and `rs.applied` does not
 /// advance. On `Ok` the checksum and position have already advanced; a
@@ -322,19 +272,13 @@ pub(crate) fn fold_entry_deferred(
     Ok(work)
 }
 
-/// Applies one committed log entry to a striped engine set and `rs`.
-///
-/// `engines` is every stripe in ascending order (a consumer holding
-/// `EngineStripes::lock_all` passes its guards); `stripe_of` is the same
-/// slot→stripe map the primary routed with, so replica replay lands every
-/// effect on the stripe whose fold order the log position encodes.
+/// Applies one committed log entry to `(engine, rs)`.
 ///
 /// Returns `Err` with the halt reason when consumption must stop; in that
 /// case `rs.applied` does NOT advance past the offending entry and
 /// `rs.halted` is set.
-pub fn apply_entry_striped(
-    engines: &mut [&mut Engine],
-    stripe_of: impl Fn(u16) -> usize,
+pub fn apply_entry(
+    engine: &mut Engine,
     rs: &mut ReplicaState,
     entry: &LogEntry,
     my_version: EngineVersion,
@@ -344,7 +288,7 @@ pub fn apply_entry_striped(
         DeferredWork::None => {}
         DeferredWork::Effects(effects) => {
             for eff in &effects {
-                if let Err(e) = apply_effect_striped(engines, &stripe_of, eff) {
+                if let Err(e) = engine.apply_effect(eff) {
                     // A halted entry is not applied: undo the position/
                     // checksum advance the fold made (dirty-slot marks may
                     // stay — over-approximation is safe).
@@ -357,10 +301,7 @@ pub fn apply_entry_striped(
             }
         }
         DeferredWork::DeleteSlot(slot) => {
-            // Only the stripe owning the slot holds any of its data.
-            if let Some(e) = engines.get_mut(stripe_of(slot)) {
-                e.db.delete_slot(slot);
-            }
+            engine.db.delete_slot(slot);
         }
     }
     Ok(())
@@ -634,105 +575,6 @@ mod tests {
         }
         assert_eq!(producer.running_crc, consumer.running_crc);
         assert_eq!(producer.applied, consumer.applied);
-    }
-
-    /// Striped replay: keyed effects land on the owning stripe, keyless
-    /// flushes broadcast, and the running checksum is identical to the
-    /// unstriped fold (the checksum chains over payloads, not stripes).
-    #[test]
-    fn striped_apply_routes_effects_and_broadcasts_flush() {
-        let route = |slot: u16| crate::stripes::stripe_of(slot, 4);
-        let mut engines: Vec<Engine> = (0..4).map(|_| Engine::new(Role::Replica)).collect();
-        let mut single = Engine::new(Role::Replica);
-        let mut rs = ReplicaState::new();
-        let mut rs_single = ReplicaState::new();
-        let recs = [
-            Record::Effects {
-                version: EngineVersion::CURRENT,
-                effects: vec![cmd(["SET", "foo", "1"])],
-            },
-            Record::Effects {
-                version: EngineVersion::CURRENT,
-                effects: vec![cmd(["SET", "bar", "2"])],
-            },
-        ];
-        for (i, rec) in recs.iter().enumerate() {
-            let mut refs: Vec<&mut Engine> = engines.iter_mut().collect();
-            apply_entry_striped(
-                &mut refs,
-                route,
-                &mut rs,
-                &entry(i as u64 + 1, rec),
-                EngineVersion::CURRENT,
-            )
-            .unwrap();
-            apply_entry(
-                &mut single,
-                &mut rs_single,
-                &entry(i as u64 + 1, rec),
-                EngineVersion::CURRENT,
-            )
-            .unwrap();
-        }
-        assert_eq!(rs.running_crc, rs_single.running_crc);
-        let foo_stripe = route(memorydb_engine::key_hash_slot(b"foo"));
-        let bar_stripe = route(memorydb_engine::key_hash_slot(b"bar"));
-        assert_ne!(foo_stripe, bar_stripe, "test keys must span stripes");
-        assert_eq!(engines[foo_stripe].db.len(), 1);
-        assert_eq!(engines[bar_stripe].db.len(), 1);
-        let total: usize = engines.iter().map(|e| e.db.len()).sum();
-        assert_eq!(total, 2, "each key lives on exactly one stripe");
-
-        // FLUSHALL is keyless: it must clear every stripe.
-        let flush = Record::Effects {
-            version: EngineVersion::CURRENT,
-            effects: vec![cmd(["FLUSHALL"])],
-        };
-        let mut refs: Vec<&mut Engine> = engines.iter_mut().collect();
-        apply_entry_striped(
-            &mut refs,
-            route,
-            &mut rs,
-            &entry(3, &flush),
-            EngineVersion::CURRENT,
-        )
-        .unwrap();
-        assert!(engines.iter().all(|e| e.db.is_empty()));
-    }
-
-    /// MigrationDone on a striped consumer deletes slot data from the
-    /// owning stripe only.
-    #[test]
-    fn striped_migration_done_deletes_from_owning_stripe() {
-        let route = |slot: u16| crate::stripes::stripe_of(slot, 4);
-        let mut engines: Vec<Engine> = (0..4).map(|_| Engine::new(Role::Replica)).collect();
-        let mut rs = ReplicaState::new();
-        let set = Record::Effects {
-            version: EngineVersion::CURRENT,
-            effects: vec![cmd(["SET", "foo", "v"])],
-        };
-        let mut refs: Vec<&mut Engine> = engines.iter_mut().collect();
-        apply_entry_striped(
-            &mut refs,
-            route,
-            &mut rs,
-            &entry(1, &set),
-            EngineVersion::CURRENT,
-        )
-        .unwrap();
-        let slot = memorydb_engine::key_hash_slot(b"foo");
-        let done = Record::MigrationDone { slot };
-        let mut refs: Vec<&mut Engine> = engines.iter_mut().collect();
-        apply_entry_striped(
-            &mut refs,
-            route,
-            &mut rs,
-            &entry(2, &done),
-            EngineVersion::CURRENT,
-        )
-        .unwrap();
-        let total: usize = engines.iter().map(|e| e.db.len()).sum();
-        assert_eq!(total, 0, "migrated slot data deleted from its stripe");
     }
 
     /// A v1 payload — the bare tag-level body, here a hand-built

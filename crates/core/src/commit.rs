@@ -20,7 +20,6 @@ use memorydb_engine::DirtySet;
 use memorydb_metrics::{CounterId, StageId};
 use memorydb_txlog::EntryId;
 use parking_lot::MutexGuard;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,7 +43,6 @@ impl Node {
         st: &NodeState,
         last_id: EntryId,
         payloads: Vec<Bytes>,
-        stripe: Option<u16>,
         e2e_start_us: Option<u64>,
     ) -> Arc<Ticket> {
         let now_us = self.metrics.now_us();
@@ -61,24 +59,21 @@ impl Node {
             ticket: Arc::clone(&ticket),
             first_id: EntryId((last_id.0 + 1).saturating_sub(payloads.len() as u64)),
             payloads,
-            stripe,
         });
         ticket
     }
 
     /// Folds one internal record into the prospective tail and stages it.
     /// `dirty` is `Some` for an effects record, whose keys must be hazard-
-    /// tracked until commit; control records carry none. `stripe` names the
-    /// single held stripe (the caller must hold that stripe's guard while
-    /// staging) so the flush's per-stripe fold-order check applies; `None`
-    /// means the caller holds every stripe or the record touches no keys.
-    /// Same locking contract as [`Node::stage_locked`].
+    /// tracked until commit; control records carry none. A caller whose
+    /// record came out of the engine still holds the engine lock, so fold
+    /// order is execution order. Same locking contract as
+    /// [`Node::stage_locked`].
     pub(crate) fn stage_internal_locked(
         &self,
         st: &mut NodeState,
         payload: Bytes,
         dirty: Option<&DirtySet>,
-        stripe: Option<u16>,
     ) -> Arc<Ticket> {
         let id = st.rs.applied.next();
         fold_appended_payload(&mut st.rs, id, &payload, false);
@@ -86,7 +81,7 @@ impl Node {
             st.rs.mark_dirty(dirty);
             st.tracker.stage(id, dirty);
         }
-        self.stage_locked(st, id, vec![payload], stripe, None)
+        self.stage_locked(st, id, vec![payload], None)
     }
 
     /// Committer thread: the fallback flusher. Submitting threads usually
@@ -115,8 +110,8 @@ impl Node {
     /// traps one submitter (in the server, an IO thread) flushing everyone
     /// else's runs while its own connections starve; whatever stages
     /// mid-flush belongs to the committer thread, which `stage()` has
-    /// already woken. BLOCKING on the log append: must not be called with a
-    /// stripe guard or `st` held (the analyzer's lock-discipline pass
+    /// already woken. BLOCKING on the log append: must not be called with
+    /// the engine guard or `st` held (the analyzer's lock-discipline pass
     /// enforces it).
     pub(crate) fn try_self_flush(&self) {
         if let Some(token) = self.flush_token.try_lock() {
@@ -142,23 +137,15 @@ impl Node {
     /// preserved: if another leader slipped an entry in, the whole flush
     /// conflicts and every staged ticket poisons.
     fn flush_runs(&self, runs: Vec<StagedRun>) {
-        // Per-stripe fold order: write runs staged from one stripe must
-        // carry strictly ascending first ids — queue order is fold order
-        // restricted to that stripe (the striping invariant DESIGN.md §12
-        // rests on). All-stripe runs (`stripe: None`) serialize globally.
+        // Fold order is queue order: ids are assigned and runs enqueued
+        // under one `st` hold, so write runs drain in strictly ascending
+        // `first_id` — the order the one coalesced append below relies on.
         debug_assert!(
-            {
-                let mut last: HashMap<u16, u64> = HashMap::new();
-                runs.iter()
-                    .filter(|r| !r.payloads.is_empty())
-                    .all(|r| match r.stripe {
-                        Some(s) => last
-                            .insert(s, r.first_id.0)
-                            .is_none_or(|prev| prev < r.first_id.0),
-                        None => true,
-                    })
-            },
-            "staged runs out of per-stripe fold order"
+            runs.iter()
+                .filter(|r| !r.payloads.is_empty())
+                .map(|r| r.first_id)
+                .is_sorted_by(|a, b| a < b),
+            "staged write runs out of fold order"
         );
         let mut payloads: Vec<Bytes> = Vec::new();
         let mut first_id: Option<EntryId> = None;
@@ -284,7 +271,7 @@ impl Node {
 
     /// Resolves a ticket: releases its in-flight window claim, records its
     /// attribution spans (unless the staging thread has not yet dropped
-    /// its stripe lock(s), in which case it records them), and fires its
+    /// the engine lock, in which case it records them), and fires its
     /// waker. Span recording happens before any waiter can observe the
     /// outcome, so a released reply never outruns its own metrics.
     pub(crate) fn resolve_ticket(&self, ticket: &Arc<Ticket>, outcome: TicketOutcome) {

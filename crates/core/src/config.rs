@@ -32,11 +32,6 @@ pub struct ShardConfig {
     pub commit_window_bytes: usize,
     /// Transaction-log service configuration for this shard.
     pub log: LogConfig,
-    /// Number of slot-range engine stripes. The 16384 hash slots are split
-    /// into this many contiguous ranges, each guarded by its own mutex, so
-    /// batches touching different stripes execute concurrently. `1` restores
-    /// the single-lock engine.
-    pub engine_stripes: usize,
     /// Worker threads for restore: parallel snapshot-chunk fetch/decode and
     /// partitioned log replay (§4.2.1). `0` = auto (one per available
     /// core), `1` = fully sequential.
@@ -63,7 +58,6 @@ impl Default for ShardConfig {
             commit_window_entries: 1024,
             commit_window_bytes: 4 << 20,
             log: LogConfig::instant(),
-            engine_stripes: 16,
             restore_workers: 0,
             snapshot_chunks: 16,
             snapshot_max_chain: 4,
@@ -104,13 +98,6 @@ impl ShardConfig {
         }
         if self.log.quorum_pipeline_depth == 0 {
             return Err("quorum_pipeline_depth must allow at least one in-flight batch".into());
-        }
-        if self.engine_stripes == 0 || self.engine_stripes > memorydb_engine::NUM_SLOTS as usize {
-            return Err(format!(
-                "engine_stripes ({}) must be in 1..={}",
-                self.engine_stripes,
-                memorydb_engine::NUM_SLOTS
-            ));
         }
         if self.snapshot_chunks == 0 || self.snapshot_chunks > 1024 {
             return Err(format!(
@@ -157,20 +144,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let cfg = ShardConfig {
             commit_window_bytes: 0,
-            ..ShardConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn engine_stripes_must_be_nonzero() {
-        let cfg = ShardConfig {
-            engine_stripes: 0,
-            ..ShardConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = ShardConfig {
-            engine_stripes: 1 << 20,
             ..ShardConfig::default()
         };
         assert!(cfg.validate().is_err());

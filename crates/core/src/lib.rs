@@ -16,7 +16,6 @@
 //! | §3.1 decoupled durability, effect interception | [`serve`], [`record`] |
 //! | §3.2 client-blocking tracker, key-level hazards | [`tracker`], [`serve`] |
 //! | §3.2 commit pipeline, cross-connection group commit | [`pipeline`], `commit` |
-//! | §2 engine striping, stripe routing | [`stripes`], `route` |
 //! | §4.1 leader election, leases, fencing | [`node`], [`record`] |
 //! | §4.2 recovery, data restoration | [`restore`], [`manifest`], [`monitor`] |
 //! | §4.2.2 off-box snapshotting (incremental) | [`offbox`], [`manifest`] |
@@ -40,12 +39,10 @@ pub mod offbox;
 pub mod pipeline;
 pub mod record;
 pub mod restore;
-mod route;
 pub mod scheduler;
 pub mod serve;
 pub mod shard;
 pub mod slotset;
-pub mod stripes;
 pub mod tracker;
 
 pub use apply::{HaltReason, ReplicaState};
@@ -65,7 +62,6 @@ pub use scheduler::SnapshotScheduler;
 pub use serve::SubmittedBatch;
 pub use shard::{NodeIdGen, Shard};
 pub use slotset::SlotSet;
-pub use stripes::{slot_range_of, stripe_of, EngineStripes, StripeGuards};
 pub use tracker::Tracker;
 
 #[cfg(test)]

@@ -32,8 +32,7 @@
 //! implies every chunk it references is fetchable (the same
 //! publication-point discipline as put-before-trim, see [`crate::offbox`]).
 
-use crate::slotset::SlotSet;
-use crate::stripes::slot_range_of;
+use crate::slotset::{partition_slot_range, SlotSet};
 use bytes::Bytes;
 use memorydb_engine::rdb::{self, crc64};
 use memorydb_engine::{key_hash_slot, Db, EngineVersion};
@@ -393,9 +392,9 @@ pub fn list_candidates(store: &ObjectStore, shard_name: &str) -> Vec<EntryId> {
 #[derive(Debug)]
 pub struct SnapshotImage {
     /// The keyspace at `covered`, as the `k` disjoint slot-range
-    /// partitions ([`stripe_of`]`(slot, k)`) the caller asked for.
+    /// partitions ([`partition_of`]`(slot, k)`) the caller asked for.
     ///
-    /// [`stripe_of`]: crate::stripes::stripe_of
+    /// [`partition_of`]: crate::slotset::partition_of
     pub parts: Vec<Db>,
     /// Last transaction-log entry included.
     pub covered: EntryId,
@@ -527,7 +526,7 @@ fn load_chunk_into(
     Ok(())
 }
 
-/// Builds partition `p` of `k` (the slots `stripe_of` maps to `p`) from
+/// Builds partition `p` of `k` (the slots `partition_of` maps to `p`) from
 /// the chain, newest manifest first: a slot range claimed by a newer
 /// manifest masks older data in those slots — including deletions, because
 /// an empty dirtied slot still claims its range. Only chunks overlapping
@@ -539,7 +538,7 @@ fn load_partition(
     p: usize,
     k: usize,
 ) -> Result<Db, SnapshotError> {
-    let (lo, hi) = slot_range_of(p, k);
+    let (lo, hi) = partition_slot_range(p, k);
     let mut part = Db::new();
     let mut claimed = SlotSet::empty();
     for m in &chain.manifests {
@@ -560,7 +559,7 @@ fn load_partition(
 
 /// Decodes the chain directly into the `k` slot-range partitions replay
 /// runs on, one worker per partition when `k > 1`. Full snapshots are
-/// chunked on the same [`slot_range_of`] boundaries, so each worker reads
+/// chunked on the same [`partition_slot_range`] boundaries, so each worker reads
 /// only its own chunks and the workers share nothing; a chunk straddling a
 /// partition boundary (a delta range, or `k` not dividing the chunk count)
 /// is decoded by each partition it overlaps, which keeps only its own keys.

@@ -11,23 +11,22 @@
 // `cargo run -p memorydb-analysis`). Keep clippy aligned with the analyzer.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::apply::{apply_entry_striped, fold_appended_payload, ReplicaState};
+use crate::apply::{apply_entry, fold_appended_payload, ReplicaState};
 use crate::bus::{BusRole, ClusterBus};
 use crate::config::ShardConfig;
 use crate::pipeline::{CommitPipeline, Ticket, TicketOutcome};
 use crate::record::{NodeId, Record, ShardId};
 use crate::restore::{restore_replica_opts, ReplayTarget, RestoreOptions, RestorePoint};
-use crate::stripes::{stripe_of, EngineStripes};
 use crate::tracker::Tracker;
 use bytes::Bytes;
 use memorydb_engine::exec::Role;
-use memorydb_engine::{CmdName, DirtySet, EffectCmd, Engine, SessionState};
-use memorydb_metrics::{CounterId, GaugeId, Registry};
+use memorydb_engine::{DirtySet, EffectCmd, Engine, SessionState};
+use memorydb_metrics::{GaugeId, Registry};
 use memorydb_objectstore::ObjectStore;
 use memorydb_txlog::{AppendError, EntryId, LogService, ReadError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -100,11 +99,12 @@ pub struct Node {
     /// Globally unique node id (also its txlog client id).
     pub id: NodeId,
     pub(crate) ctx: Arc<ShardContext>,
-    /// Slot-partitioned engine stripes (DESIGN.md §12): a batch confined to
-    /// one stripe takes only that stripe's lock, so disjoint-stripe batches
-    /// execute concurrently; cross-stripe work acquires every stripe in
-    /// canonical ascending order via [`EngineStripes::lock_all`].
-    pub(crate) stripes: EngineStripes,
+    /// The engine behind its one lock (DESIGN.md §12): like Redis, commands
+    /// execute strictly one at a time; the IO threads parallelise socket
+    /// read, parse and reply write around it. Held through execution *and*
+    /// the fold/stage step under `st`, so execution order equals fold order
+    /// equals log order.
+    pub(crate) engine: Mutex<Engine>,
     pub(crate) st: Mutex<NodeState>,
     pub(crate) alive: AtomicBool,
     /// Per-node observability: stage latency histograms, counters, and the
@@ -118,10 +118,6 @@ pub struct Node {
     /// and appends. Serializing drain+append here is what keeps log order
     /// equal to fold order when submitters flush on their own thread.
     pub(crate) flush_token: Mutex<()>,
-    /// Rotating active-expire cursor: each pass reaps one stripe under its
-    /// own `lock_one`, so background expiration never stalls the other
-    /// stripes behind an all-stripe acquisition.
-    expire_cursor: AtomicUsize,
 }
 
 impl std::fmt::Debug for Node {
@@ -140,12 +136,10 @@ impl Node {
         // A fresh node always starts as a replica (paper §4.2) and must
         // wait out a full backoff before campaigning.
         rs.last_leadership_signal = Instant::now();
-        let metrics = Arc::new(Registry::new());
-        let stripes = EngineStripes::split(rp.engine, ctx.cfg.engine_stripes, Arc::clone(&metrics));
         let node = Arc::new(Node {
             id,
             ctx,
-            stripes,
+            engine: Mutex::new(rp.engine),
             st: Mutex::new(NodeState {
                 role: Role::Replica,
                 rs,
@@ -160,10 +154,9 @@ impl Node {
                 forward: HashMap::new(),
             }),
             alive: AtomicBool::new(true),
-            metrics,
+            metrics: Arc::new(Registry::new()),
             pipeline: Arc::new(CommitPipeline::new()),
             flush_token: Mutex::new(()),
-            expire_cursor: AtomicUsize::new(0),
         });
         let runner = Arc::clone(&node);
         // Baselined in analysis.toml: failing to spawn at node startup is a
@@ -329,7 +322,7 @@ impl Node {
                 node: self.id,
                 epoch: st.rs.epoch,
             };
-            self.stage_internal_locked(&mut st, rec.encode_framed(), None, None)
+            self.stage_internal_locked(&mut st, rec.encode_framed(), None)
         };
         let ok = matches!(
             ticket.wait(self.ticket_wait_cap()),
@@ -358,8 +351,7 @@ impl Node {
     /// the end state exact). Returns the appended entry (or the current
     /// position when nothing was logged).
     pub fn ingest_effects(&self, cmds: &[EffectCmd], lenient: bool) -> Result<EntryId, String> {
-        self.metrics.incr(CounterId::CrossStripeOps);
-        let mut guards = self.stripes.lock_all();
+        let mut engine = self.engine.lock();
         let mut st = self.st.lock();
         if st.role != Role::Primary {
             return Err("not the primary".into());
@@ -367,16 +359,12 @@ impl Node {
         if st.state_poisoned || st.rebuilding {
             return Err("uncommitted state pending rebuild".into());
         }
-        let now_ms = wall_ms();
-        for e in guards.each() {
-            e.set_time_ms(now_ms);
-        }
+        engine.set_time_ms(wall_ms());
         let mut effects: Vec<EffectCmd> = Vec::new();
         let mut dirty = DirtySet::None;
         let mut session = SessionState::new();
         for cmd in cmds {
-            let name = CmdName::from_arg(cmd.first().map_or(b"".as_slice(), |c| c));
-            let out = guards.execute_routed(&mut session, &name, cmd);
+            let out = engine.execute(&mut session, cmd);
             if out.reply.is_error() && !lenient {
                 return Err(format!("effect {cmd:?} failed: {:?}", out.reply));
             }
@@ -387,14 +375,13 @@ impl Node {
             return Ok(st.rs.applied);
         }
         let record = Record::Effects {
-            version: guards.first_ref().version(),
+            version: engine.version(),
             effects,
         };
         // Staged on the commit pipeline like any client mutation (a fenced
         // flush poisons the state); the migration controller drains via
         // `max_pending_write` before any ownership transfer.
-        let ticket =
-            self.stage_internal_locked(&mut st, record.encode_framed(), Some(&dirty), None);
+        let ticket = self.stage_internal_locked(&mut st, record.encode_framed(), Some(&dirty));
         Ok(ticket.last_id())
     }
 
@@ -403,7 +390,7 @@ impl Node {
     /// primary's own state (primaries do not consume their own log).
     pub fn commit_record(&self, record: &Record) -> Result<EntryId, String> {
         let ticket = {
-            let mut guards = self.stripes.lock_all();
+            let mut engine = self.engine.lock();
             let mut st = self.st.lock();
             if st.role != Role::Primary {
                 return Err("not the primary".into());
@@ -411,7 +398,7 @@ impl Node {
             if st.state_poisoned || st.rebuilding {
                 return Err("uncommitted state pending rebuild".into());
             }
-            let ticket = self.stage_internal_locked(&mut st, record.encode_framed(), None, None);
+            let ticket = self.stage_internal_locked(&mut st, record.encode_framed(), None);
             // Mirror the consumer-side semantics locally (primaries do not
             // consume their own log). Optimistic like the fold: a fenced
             // flush poisons the state and the rebuild discards this.
@@ -428,7 +415,7 @@ impl Node {
                     // Deleting the handed-off data dirties the slot relative
                     // to any earlier snapshot (mirrors the consumer fold).
                     st.rs.dirty_slots.insert(*slot);
-                    guards.engine_for_slot(*slot).db.delete_slot(*slot);
+                    engine.db.delete_slot(*slot);
                 }
                 Record::MigrationAbort { slot } => {
                     st.rs.blocked_slots.remove(slot);
@@ -450,11 +437,9 @@ impl Node {
         }
     }
 
-    /// Serializes every key in `slot` (with expiry) for transfer. Only the
-    /// stripe owning the slot needs locking.
+    /// Serializes every key in `slot` (with expiry) for transfer.
     pub fn serialize_slot(&self, slot: u16) -> Vec<(Bytes, Vec<u8>)> {
-        let guards = self.stripes.lock_one(self.stripes.stripe_for_slot(slot));
-        let engine = guards.first_ref();
+        let engine = self.engine.lock();
         let mut out = Vec::new();
         for key in engine.db.keys_in_slot(slot) {
             // Serialize physical state including logically-expired entries;
@@ -473,11 +458,7 @@ impl Node {
 
     /// Keys currently stored in a slot.
     pub fn slot_keys(&self, slot: u16) -> Vec<Bytes> {
-        self.stripes
-            .lock_one(self.stripes.stripe_for_slot(slot))
-            .first_ref()
-            .db
-            .keys_in_slot(slot)
+        self.engine.lock().db.keys_in_slot(slot)
     }
 
     /// Digest of a slot's content for the §5.2 integrity handshake.
@@ -536,39 +517,27 @@ impl Node {
     // ---------------------------------------------------------------------
 
     /// A consistent cut of this node's state: `(covered, running_crc,
-    /// keyspace dump)` taken under every stripe lock. The stripes hold
-    /// contiguous slot ranges, so the dump is slot-ordered and
-    /// byte-comparable across stripe counts — the reference the striped ≡
-    /// unstriped ≡ replica tests compare. Stored snapshots are taken
-    /// off-box, see `offbox.rs`.
+    /// keyspace dump)` taken under the engine lock — the reference the
+    /// primary fold ≡ replica replay ≡ cold restore tests compare. Stored
+    /// snapshots are taken off-box, see `offbox.rs`.
     pub fn capture_snapshot(&self) -> (EntryId, u64, Vec<u8>) {
-        let guards = self.stripes.lock_all();
+        let engine = self.engine.lock();
         let st = self.st.lock();
         (
             st.rs.applied,
             st.rs.running_crc,
-            memorydb_engine::rdb::dump_multi(&guards.dbs()),
+            memorydb_engine::rdb::dump(&engine.db),
         )
     }
 
     /// Approximate dataset size in bytes (snapshot scheduling input).
     pub fn dataset_bytes(&self) -> usize {
-        self.stripes
-            .lock_all()
-            .dbs()
-            .iter()
-            .map(|db| db.used_memory())
-            .sum()
+        self.engine.lock().db.used_memory()
     }
 
     /// Number of keys stored.
     pub fn key_count(&self) -> usize {
-        self.stripes
-            .lock_all()
-            .dbs()
-            .iter()
-            .map(|db| db.len())
-            .sum()
+        self.engine.lock().db.len()
     }
 
     // ---------------------------------------------------------------------
@@ -617,28 +586,15 @@ impl Node {
             .wait_for_entries(self.id, applied, 256, cfg.tick)
         {
             Ok(entries) if !entries.is_empty() => {
-                let mut guards = self.stripes.lock_all();
+                let mut engine = self.engine.lock();
                 let mut st = self.st.lock();
-                let now_ms = wall_ms();
-                let version = guards.first_ref().version();
-                let n = guards.stripe_count();
-                let mut engines: Vec<&mut Engine> = guards.each().collect();
-                for e in engines.iter_mut() {
-                    e.set_time_ms(now_ms);
-                }
+                engine.set_time_ms(wall_ms());
+                let version = engine.version();
                 for entry in &entries {
                     if entry.id != st.rs.applied.next() {
                         break; // raced with a state swap; re-read next tick
                     }
-                    if apply_entry_striped(
-                        &mut engines,
-                        |s| stripe_of(s, n),
-                        &mut st.rs,
-                        entry,
-                        version,
-                    )
-                    .is_err()
-                    {
+                    if apply_entry(&mut engine, &mut st.rs, entry, version).is_err() {
                         break;
                     }
                 }
@@ -699,7 +655,7 @@ impl Node {
             Ok(id) => {
                 // Serve only after the claim itself is durable.
                 if self.ctx.log.wait_durable(id, cfg.commit_timeout) {
-                    let mut guards = self.stripes.lock_all();
+                    let mut engine = self.engine.lock();
                     let mut st = self.st.lock();
                     // The append succeeded at our applied tail, so we had
                     // observed every committed update — the §4.1.2
@@ -710,9 +666,7 @@ impl Node {
                     st.rs.release_observed = false;
                     st.rs.last_leadership_signal = Instant::now();
                     st.role = Role::Primary;
-                    for e in guards.each() {
-                        e.set_role(Role::Primary);
-                    }
+                    engine.set_role(Role::Primary);
                     st.lease_valid_until = t0 + cfg.lease;
                     st.next_renewal_at = t0 + cfg.renew_interval;
                     st.pending_renewal = None;
@@ -724,7 +678,7 @@ impl Node {
                     // campaign proves our state is exactly the log prefix.
                     st.state_poisoned = false;
                     drop(st);
-                    drop(guards);
+                    drop(engine);
                     self.metrics.set_gauge(GaugeId::LeaseEpoch, epoch as i64);
                     self.ctx
                         .bus
@@ -744,39 +698,27 @@ impl Node {
 
     /// One active-expire pass (Redis's background expiration, §2.1): the
     /// primary reaps expired keys and replicates explicit `DEL`s so
-    /// replicas converge without consulting their own clocks. Each pass
-    /// visits ONE stripe under its own `lock_one`, rotating a cursor across
-    /// passes — background reaping never stalls the other stripes behind an
-    /// all-stripe acquisition, and every stripe is still visited once per
-    /// full rotation.
+    /// replicas converge without consulting their own clocks.
     fn active_expire(&self) {
-        let n = self.stripes.count();
-        let idx = self.expire_cursor.fetch_add(1, Ordering::Relaxed) % n.max(1);
-        let mut guards = self.stripes.lock_one(idx);
+        let mut engine = self.engine.lock();
         let mut st = self.st.lock();
         if st.role != Role::Primary || st.rebuilding || st.state_poisoned {
             return;
         }
-        let now_ms = wall_ms();
-        let mut effects = Vec::new();
-        for e in guards.each() {
-            e.set_time_ms(now_ms);
-            effects.extend(e.active_expire_cycle(64));
-        }
+        engine.set_time_ms(wall_ms());
+        let effects = engine.active_expire_cycle(64);
         if effects.is_empty() {
             return;
         }
         let dirty = DirtySet::Keys(effects.iter().filter_map(|e| e.get(1).cloned()).collect());
         let record = Record::Effects {
-            version: guards.first_ref().version(),
+            version: engine.version(),
             effects,
         };
-        let stripe = guards.held_stripe();
         // Fire-and-forget through the commit pipeline: the DELs are hazard-
         // tracked until commit, and a fenced flush poisons the state. Staged
-        // while the stripe guard is held, so per-stripe fold order holds.
-        let _ticket =
-            self.stage_internal_locked(&mut st, record.encode_framed(), Some(&dirty), stripe);
+        // while the engine lock is held, so fold order is execution order.
+        let _ticket = self.stage_internal_locked(&mut st, record.encode_framed(), Some(&dirty));
     }
 
     fn primary_step(&self) {
@@ -823,7 +765,7 @@ impl Node {
                     epoch: st.rs.epoch,
                     lease_ms: cfg.lease.as_millis() as u64,
                 };
-                let ticket = self.stage_internal_locked(&mut st, rec.encode_framed(), None, None);
+                let ticket = self.stage_internal_locked(&mut st, rec.encode_framed(), None);
                 st.pending_renewal = Some((ticket, now));
                 st.next_renewal_at = now + cfg.renew_interval;
             }
@@ -860,7 +802,7 @@ impl Node {
             .bus
             .heartbeat(self.id, self.ctx.shard_id, BusRole::Replica);
         while self.alive.load(Ordering::SeqCst) {
-            let version = self.stripes.engine_version();
+            let version = self.engine.lock().version();
             match restore_replica_opts(
                 &self.ctx.store,
                 &self.ctx.log,
@@ -873,13 +815,11 @@ impl Node {
                 },
             ) {
                 Ok(rp) => {
-                    // Re-partition the restored engine into stripes, then
-                    // install under the all-stripe lock so no reader observes
-                    // a torn mix of old and new state.
-                    let parts = self.stripes.partition(rp.engine);
-                    let mut guards = self.stripes.lock_all();
+                    // Engine and log-derived state swap under both locks, so
+                    // no reader observes a mix of old and new state.
+                    let mut engine = self.engine.lock();
                     let mut st = self.st.lock();
-                    guards.install(parts);
+                    *engine = rp.engine;
                     st.rs = rp.rs;
                     st.rs.last_leadership_signal = Instant::now();
                     // A demoted primary defers to the other replicas even if

@@ -27,7 +27,7 @@
 use crate::manifest::{ChunkRef, SnapshotManifest};
 use crate::node::ShardContext;
 use crate::restore::{restore_replica_opts, ReplayTarget, RestoreError, RestoreOptions};
-use crate::stripes::slot_range_of;
+use crate::slotset::partition_slot_range;
 use bytes::Bytes;
 use memorydb_engine::rdb;
 use memorydb_engine::{key_hash_slot, EngineVersion};
@@ -150,13 +150,15 @@ impl OffboxSnapshotter {
         // correct, the chunks are just slightly bigger).
         let n_chunks = self.ctx.cfg.snapshot_chunks.max(1);
         let ranges: Vec<(u16, u16)> = match delta_base {
-            None => (0..n_chunks).map(|i| slot_range_of(i, n_chunks)).collect(),
+            None => (0..n_chunks)
+                .map(|i| partition_slot_range(i, n_chunks))
+                .collect(),
             Some(_) => coalesce_ranges(&rp.rs.dirty_slots.to_ranges(), n_chunks),
         };
 
         // (4) Dump every range in one pass over the keyspace.
         let covered = rp.rs.applied;
-        let blobs: Vec<Bytes> = rdb::dump_slot_ranges(&[&rp.engine.db], &ranges)
+        let blobs: Vec<Bytes> = rdb::dump_slot_ranges(&rp.engine.db, &ranges)
             .into_iter()
             .map(Bytes::from)
             .collect();

@@ -229,13 +229,10 @@ pub(crate) struct StagedRun {
     pub ticket: Arc<Ticket>,
     pub payloads: Vec<Bytes>,
     /// Prospective id of `payloads[0]` (unused when payloads is empty).
+    /// Ids are assigned and runs enqueued under one `st` hold, so write
+    /// runs sit in the queue in strictly ascending `first_id` order — the
+    /// flush asserts this before appending.
     pub first_id: EntryId,
-    /// Stripe the run executed on (`None` for all-stripe batches and
-    /// internal control/effects traffic). Per-stripe fold order is the
-    /// striping durability contract: restricted to one stripe, staged runs
-    /// must appear in the queue in ascending `first_id` order — the
-    /// committer's flush asserts this before appending.
-    pub stripe: Option<u16>,
 }
 
 struct StagedQueue {
@@ -253,8 +250,7 @@ struct CommittedQueue {
 }
 
 /// The shared queues between the serving path, the committer, and the
-/// completer. Lock order: node engine stripes (ascending stripe index,
-/// via `EngineStripes::lock_all`/`lock_one`) < node `st` < `q` < `cq`.
+/// completer. Lock order: node `engine` < node `st` < `q` < `cq`.
 pub(crate) struct CommitPipeline {
     q: Mutex<StagedQueue>,
     /// Committer wakeup: staged work arrived.
@@ -484,7 +480,6 @@ mod tests {
             ticket: Arc::clone(&t),
             payloads: Vec::new(),
             first_id: EntryId(1),
-            stripe: None,
         });
         // Window of 4 entries is now full; the wait should consume most of
         // its timeout.
@@ -512,7 +507,6 @@ mod tests {
             ticket: Arc::clone(&t),
             payloads: Vec::new(),
             first_id: EntryId(1),
-            stripe: None,
         });
         assert_eq!(p.inflight(), (2, 20));
         let _drained = p.take_staged_now();

@@ -10,17 +10,14 @@
 //! image is decoded straight into `k` slot-range partitions (one worker
 //! each, see [`crate::manifest`]), log replay folds control state
 //! sequentially while fanning the data work out per partition — each
-//! partition's queue preserves log order, which is exactly the fold-order
-//! invariant the striped serving path pins (see [`crate::stripes`]) — and
-//! the disjoint partitions are finally moved, not re-inserted, into the one
-//! engine of the [`RestorePoint`].
+//! partition's queue preserves log order, and an effect's keys share one
+//! slot, so every key sees its effects in log order — and the disjoint
+//! partitions are finally moved, not re-inserted, into the one engine of the
+//! [`RestorePoint`].
 
-use crate::apply::{
-    effect_slot, fold_entry_deferred, is_broadcast_effect, DeferredWork, HaltReason, ReplicaState,
-};
+use crate::apply::{effect_slot, fold_entry_deferred, DeferredWork, HaltReason, ReplicaState};
 use crate::manifest;
-use crate::slotset::SlotSet;
-use crate::stripes::stripe_of;
+use crate::slotset::{partition_of, SlotSet};
 use memorydb_engine::exec::Role;
 use memorydb_engine::{EffectCmd, Engine, EngineVersion};
 use memorydb_objectstore::ObjectStore;
@@ -300,7 +297,7 @@ fn restore_replica_once(
 }
 
 /// One unit of deferred per-partition work, in log order within its queue.
-enum StripeTask {
+enum PartitionTask {
     Effect(EffectCmd),
     DeleteSlot(u16),
 }
@@ -324,7 +321,7 @@ fn apply_batch_partitioned(
     upper: Option<EntryId>,
 ) -> Result<bool, RestoreError> {
     let k = parts.len();
-    let mut queues: Vec<Vec<StripeTask>> = (0..k).map(|_| Vec::new()).collect();
+    let mut queues: Vec<Vec<PartitionTask>> = (0..k).map(|_| Vec::new()).collect();
     let mut keep_going = true;
     let mut hard_halt = None;
     for entry in batch {
@@ -341,8 +338,8 @@ fn apply_batch_partitioned(
                 }
             }
             Ok(DeferredWork::DeleteSlot(slot)) => {
-                if let Some(q) = queues.get_mut(stripe_of(slot, k)) {
-                    q.push(StripeTask::DeleteSlot(slot));
+                if let Some(q) = queues.get_mut(partition_of(slot, k)) {
+                    q.push(PartitionTask::DeleteSlot(slot));
                 }
             }
             // `fold_entry_deferred` has already recorded the halt in
@@ -365,28 +362,29 @@ fn apply_batch_partitioned(
     Ok(keep_going)
 }
 
-/// Routes one effect to its partition queue, mirroring the routing of
-/// `apply_effect_striped`: keyed effects go to the partition owning the
-/// key's slot, broadcast effects (FLUSHALL and kin) to every partition,
-/// other keyless effects to the first.
-fn enqueue_effect(queues: &mut [Vec<StripeTask>], eff: EffectCmd) {
+/// Routes one effect to its partition queue: keyed effects go to the
+/// partition owning the key's slot, `FLUSHALL`/`FLUSHDB` to every
+/// partition, other keyless effects to the first.
+fn enqueue_effect(queues: &mut [Vec<PartitionTask>], eff: EffectCmd) {
     let k = queues.len();
     if let Some(slot) = effect_slot(&eff) {
-        if let Some(q) = queues.get_mut(stripe_of(slot, k)) {
-            q.push(StripeTask::Effect(eff));
+        if let Some(q) = queues.get_mut(partition_of(slot, k)) {
+            q.push(PartitionTask::Effect(eff));
         }
-    } else if is_broadcast_effect(&eff) {
+    } else if eff.first().is_some_and(|name| {
+        name.eq_ignore_ascii_case(b"FLUSHALL") || name.eq_ignore_ascii_case(b"FLUSHDB")
+    }) {
         for q in queues.iter_mut() {
-            q.push(StripeTask::Effect(eff.clone()));
+            q.push(PartitionTask::Effect(eff.clone()));
         }
     } else if let Some(q) = queues.first_mut() {
-        q.push(StripeTask::Effect(eff));
+        q.push(PartitionTask::Effect(eff));
     }
 }
 
 /// Drains every partition's queue; one worker thread per non-empty queue
 /// when there is more than one partition, inline otherwise.
-fn drain_queues(parts: &mut [Engine], queues: Vec<Vec<StripeTask>>) -> Result<(), HaltReason> {
+fn drain_queues(parts: &mut [Engine], queues: Vec<Vec<PartitionTask>>) -> Result<(), HaltReason> {
     if parts.len() <= 1 {
         for (part, queue) in parts.iter_mut().zip(queues) {
             run_queue(part, queue).map_err(HaltReason::EffectFailed)?;
@@ -413,11 +411,11 @@ fn drain_queues(parts: &mut [Engine], queues: Vec<Vec<StripeTask>>) -> Result<()
     Ok(())
 }
 
-fn run_queue(part: &mut Engine, queue: Vec<StripeTask>) -> Result<(), String> {
+fn run_queue(part: &mut Engine, queue: Vec<PartitionTask>) -> Result<(), String> {
     for task in queue {
         match task {
-            StripeTask::Effect(eff) => part.apply_effect(&eff)?,
-            StripeTask::DeleteSlot(slot) => {
+            PartitionTask::Effect(eff) => part.apply_effect(&eff)?,
+            PartitionTask::DeleteSlot(slot) => {
                 part.db.delete_slot(slot);
             }
         }

@@ -1,7 +1,7 @@
-//! The one client command path (paper §3.2, DESIGN.md §11–§12): a batch is
-//! classified to its stripe route, executed command by command under the
-//! stripe guard(s) — `admit` → `node_local` → `execute_routed` — and its
-//! mutations are staged on the commit pipeline as one ticket
+//! The one client command path (paper §3.2, DESIGN.md §11–§12): a batch
+//! executes command by command under the engine lock — `admit` →
+//! `node_local` → `Engine::execute` — and its mutations are staged on the
+//! commit pipeline as one ticket
 //! (`stage_batch`). The replies come back parked in a [`SubmittedBatch`];
 //! finishing it installs or fails them by the ticket's outcome. Blocking
 //! callers are submit + wait over this same path.
@@ -12,15 +12,15 @@ use crate::apply::fold_appended_payload;
 use crate::node::{wall_ms, Node, NodeState};
 use crate::pipeline::{Ticket, TicketOutcome};
 use crate::record::{Record, ShardId};
-use crate::stripes::StripeGuards;
 use bytes::Bytes;
 use memorydb_engine::command::command_spec;
 use memorydb_engine::exec::Role;
 use memorydb_engine::{
-    key_hash_slot, keys_for, CmdName, DirtySet, EffectCmd, ExecOutcome, Frame, SessionState,
+    key_hash_slot, keys_for, CmdName, DirtySet, EffectCmd, Engine, ExecOutcome, Frame, SessionState,
 };
 use memorydb_metrics::{CounterId, StageId};
 use memorydb_txlog::EntryId;
+use parking_lot::MutexGuard;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -130,7 +130,7 @@ impl<'a> CmdFacts<'a> {
     }
 }
 
-/// A mutation executed under the stripe guard, awaiting the batch's single
+/// A mutation executed under the engine lock, awaiting the batch's single
 /// group-commit fold.
 struct StagedWrite {
     payload: Bytes,
@@ -145,8 +145,8 @@ const NODE_LEVEL: &[&str] = &["WAIT", "INFO", "SLOWLOG", "LATENCY"];
 
 /// The node-state gate: may this node serve `cmd` right now? Returns the
 /// refusal, if any. Runs under a short `st` section per command — the
-/// stripe lock (not `st`) is what serializes execution, so a fence on
-/// another stripe can still poison the node mid-batch; staging re-checks.
+/// engine lock (not `st`) is what serializes execution, so a fenced flush
+/// can still poison the node mid-batch; staging re-checks.
 fn admit(st: &NodeState, cmd: &CmdFacts<'_>, shard_id: ShardId) -> Option<Frame> {
     if NODE_LEVEL.contains(&cmd.name.as_str()) {
         return None;
@@ -197,7 +197,7 @@ impl Node {
             .unwrap_or_else(|| Frame::error("ERR internal: batch returned no reply"))
     }
 
-    /// Executes a pipeline of commands with **one** stripe-lock
+    /// Executes a pipeline of commands with **one** engine-lock
     /// acquisition and **one** commit ticket covering every mutation
     /// (group commit, §3.1's BtrLog batching), blocking until the commit
     /// pipeline releases the whole pipeline of replies (§3.2):
@@ -207,12 +207,12 @@ impl Node {
         self.wait_finish(sb)
     }
 
-    /// Classifies the batch by CRC16 slot stripe, executes it under the
-    /// owning stripe lock(s) (DESIGN.md §12), stages its mutations (and
-    /// read hazards) on the commit pipeline, and returns with the mutation
-    /// replies still parked on the batch's ticket — the server's IO threads
-    /// park the batch and sweep on (DESIGN.md §11). [`Node::try_finish`] /
-    /// [`Node::wait_finish`] release the replies once the ticket resolves.
+    /// Executes the batch under the engine lock (DESIGN.md §12), stages its
+    /// mutations (and read hazards) on the commit pipeline under the same
+    /// hold, and returns with the mutation replies still parked on the
+    /// batch's ticket — the server's IO threads park the batch and sweep on
+    /// (DESIGN.md §11). [`Node::try_finish`] / [`Node::wait_finish`] release
+    /// the replies once the ticket resolves.
     ///
     /// Replies come back in submission order. Semantics match running the
     /// same commands one at a time: per-command role/slot checks,
@@ -234,46 +234,26 @@ impl Node {
         }
         let e2e_start = self.metrics.now_us();
         self.enter_window(cmds.len());
-        // Classify before any lock: a batch confined to one stripe takes
-        // only that stripe's lock and runs concurrently with batches on
-        // other stripes; anything else locks all stripes in ascending order.
-        let route = self.stripes.classify_batch(cmds);
         let engine_start = self.metrics.now_us();
-        let mut guards = match route {
-            Some(idx) => self.stripes.lock_one(idx),
-            None => {
-                self.metrics.incr(CounterId::CrossStripeOps);
-                self.stripes.lock_all()
-            }
-        };
+        // Bound to one name from the `try_lock` on, so the analyzer's guard
+        // tracking (DESIGN.md §9) covers the hold either way it was won.
+        let engine = self.engine.try_lock();
+        let mut engine = engine.unwrap_or_else(|| self.lock_engine_contended());
         let lock_acquired_us = self.metrics.now_us();
-        let now_ms = wall_ms();
-        for e in guards.each() {
-            e.set_time_ms(now_ms);
-        }
-        // `CONFIG SET slowlog-log-slower-than` lands in engine config
-        // (broadcast to every stripe); mirror it into the registry's slowlog
-        // under the already-held stripe lock.
-        if let Some(t) = guards
-            .first_ref()
-            .config_param("slowlog-log-slower-than")
-            .and_then(|v| v.parse::<i64>().ok())
-        {
-            self.metrics.slowlog().set_threshold_us(t);
-        }
+        engine.set_time_ms(wall_ms());
         let mut writes: Vec<StagedWrite> = Vec::new();
         for args in cmds {
-            let reply = self.serve_one(&mut guards, session, args, &mut sb, &mut writes);
+            let reply = self.serve_one(&mut engine, session, args, &mut sb, &mut writes);
             sb.replies.push(reply);
         }
-        // Staged while the stripe lock is still held: within a stripe, log
-        // order equals execution order (§3.2).
-        self.stage_batch(&guards, &mut sb, &writes, e2e_start);
-        drop(guards);
+        // Staged while the engine lock is still held: log order equals
+        // execution order (§3.2).
+        self.stage_batch(&mut sb, &writes, e2e_start);
+        drop(engine);
 
         let lock_dropped_us = self.metrics.now_us();
         let held_us = lock_dropped_us.saturating_sub(lock_acquired_us);
-        self.metrics.record_stage(StageId::StripeLockHold, held_us);
+        self.metrics.record_stage(StageId::EngineLockHold, held_us);
         self.metrics.record_stage(
             StageId::Engine,
             lock_dropped_us.saturating_sub(engine_start),
@@ -299,6 +279,13 @@ impl Node {
         sb
     }
 
+    /// The slow half of a client batch's engine-lock acquisition: its
+    /// `try_lock` missed, so count the conflict and block.
+    fn lock_engine_contended(&self) -> MutexGuard<'_, Engine> {
+        self.metrics.incr(CounterId::EngineLockConflicts);
+        self.engine.lock()
+    }
+
     /// Backpressure (§11): blocks while the in-flight commit window is
     /// full, before taking any lock (the pipeline threads need them to
     /// drain the window). Attributed to `commit_queue_wait` so the e2e
@@ -322,13 +309,13 @@ impl Node {
             .add(CounterId::CommandsDispatched, commands as u64);
     }
 
-    /// One command of a batch, under the batch's stripe guard(s). Returns
+    /// One command of a batch, under the batch's engine lock. Returns
     /// what goes in its reply slot: the final reply, or the `Frame::Null`
     /// placeholder of a mutation pushed onto `writes` (its real reply waits
     /// in `sb.staged_replies` for the commit).
     fn serve_one(
         &self,
-        guards: &mut StripeGuards<'_>,
+        engine: &mut Engine,
         session: &mut SessionState,
         args: &[Bytes],
         sb: &mut SubmittedBatch,
@@ -345,10 +332,10 @@ impl Node {
             return err;
         }
         let i = sb.replies.len();
-        if let Some(reply) = self.node_local(guards, session, &cmd, sb) {
+        if let Some(reply) = self.node_local(engine, &cmd, sb) {
             return reply;
         }
-        let outcome = self.execute_timed(guards, session, &cmd);
+        let outcome = self.execute_timed(engine, session, &cmd);
         if outcome.effects.is_empty() {
             // Read (or no-op write). After the batch's first mutation its
             // own entries are newer than any tracked hazard, so the single
@@ -361,7 +348,7 @@ impl Node {
             return outcome.reply;
         }
         let record = Record::Effects {
-            version: guards.first_ref().version(),
+            version: engine.version(),
             effects: outcome.effects,
         };
         let payload = record.encode_framed();
@@ -386,8 +373,7 @@ impl Node {
     /// whose own versions are keyspace-only or empty-shaped fallbacks.
     fn node_local(
         &self,
-        guards: &mut StripeGuards<'_>,
-        session: &SessionState,
+        engine: &Engine,
         cmd: &CmdFacts<'_>,
         sb: &mut SubmittedBatch,
     ) -> Option<Frame> {
@@ -402,25 +388,10 @@ impl Node {
             }
             "INFO" => {
                 let st = self.st.lock();
-                self.info_reply_locked(guards, &st, args.get(1))
+                self.info_reply_locked(engine, &st, args.get(1))
             }
             "SLOWLOG" => self.slowlog_reply(args),
             "LATENCY" => self.latency_reply(args),
-            // DBSIZE without an all-stripe sweep: the held stripe's live
-            // count plus the other stripes' published counters (refreshed on
-            // every guard drop). Inside MULTI the command queues like any
-            // other and EXEC's all-stripe route answers it exactly.
-            "DBSIZE" if !session.in_multi() => {
-                if args.len() != 1 {
-                    // Arity error, straight from the engine's own gate.
-                    guards.any_engine().execute_single(args).reply
-                } else if guards.is_all() {
-                    Frame::Integer(guards.dbs().iter().map(|db| db.len()).sum::<usize>() as i64)
-                } else {
-                    let elsewhere = self.stripes.keys_elsewhere(guards.held_idx());
-                    Frame::Integer((guards.first_ref().db.len() + elsewhere) as i64)
-                }
-            }
             _ => return None,
         })
     }
@@ -446,16 +417,16 @@ impl Node {
         }
     }
 
-    /// Runs `cmd` on the held stripe set, recording the `apply` stage and
-    /// feeding the slowlog.
+    /// Runs `cmd` on the engine, recording the `apply` stage and feeding the
+    /// slowlog.
     fn execute_timed(
         &self,
-        guards: &mut StripeGuards<'_>,
+        engine: &mut Engine,
         session: &mut SessionState,
         cmd: &CmdFacts<'_>,
     ) -> ExecOutcome {
         let apply_start = self.metrics.now_us();
-        let outcome = guards.execute_routed(session, &cmd.name, cmd.args);
+        let outcome = engine.execute(session, cmd.args);
         let apply_us = self.metrics.now_us().saturating_sub(apply_start);
         self.metrics.record_stage(StageId::Apply, apply_us);
         if self
@@ -467,13 +438,24 @@ impl Node {
         {
             self.metrics.incr(CounterId::SlowlogRecorded);
         }
+        // `CONFIG SET slowlog-log-slower-than` lands in engine config;
+        // after any command one can execute through, mirror it into the
+        // registry's slowlog under the lock that ordered it, so whatever
+        // runs next on any connection runs under it.
+        if matches!(cmd.name.as_str(), "CONFIG" | "EXEC" | "EVAL" | "EVALSHA") {
+            if let Some(t) = engine
+                .config_param("slowlog-log-slower-than")
+                .and_then(|v| v.parse::<i64>().ok())
+            {
+                self.metrics.slowlog().set_threshold_us(t);
+            }
+        }
         outcome
     }
 
     /// Key-level hazard check for a read (§3.2): the newest unacknowledged
     /// entry the reply could have observed. EXEC has no keys of its own; be
-    /// conservative and use the max pending. A write to this command's keys
-    /// lives on this same stripe, and writers hold their stripe lock
+    /// conservative and use the max pending. Writers hold the engine lock
     /// through the fold, so the tracker already carries any hazard the read
     /// could have seen.
     fn read_hazard(&self, cmd: &CmdFacts<'_>) -> Option<EntryId> {
@@ -498,18 +480,11 @@ impl Node {
     /// the imminent rebuild discards — and an unpoisoned hazard run staged
     /// after the poison drain would wait out its full deadline against ids
     /// another leader may now own. Both fail like a poisoned ticket would.
-    fn stage_batch(
-        &self,
-        guards: &StripeGuards<'_>,
-        sb: &mut SubmittedBatch,
-        writes: &[StagedWrite],
-        e2e_start_us: u64,
-    ) {
+    fn stage_batch(&self, sb: &mut SubmittedBatch, writes: &[StagedWrite], e2e_start_us: u64) {
         let newest_hazard = sb.hazard_reads.iter().map(|&(_, h)| h).max();
         if writes.is_empty() && newest_hazard.is_none() {
             return;
         }
-        let stripe = guards.held_stripe();
         let mut st = self.st.lock();
         if st.state_poisoned || st.rebuilding || st.role != Role::Primary {
             drop(st);
@@ -521,13 +496,13 @@ impl Node {
             Some(h) if writes.is_empty() => h,
             _ => st.rs.applied,
         };
-        sb.ticket = Some(self.stage_locked(&st, last_id, payloads, stripe, Some(e2e_start_us)));
+        sb.ticket = Some(self.stage_locked(&st, last_id, payloads, Some(e2e_start_us)));
     }
 
     /// Folds each write's prospective entry id into the replica state and
     /// the hazard tracker, appends a checksum probe when one is due, and
     /// mirrors the effects to migration targets (§5.2) — all while the
-    /// caller holds the stripe lock, so the fold and the target both
+    /// caller holds the engine lock, so the fold and the target both
     /// observe execution order. Returns the payloads to append.
     fn fold_writes(&self, st: &mut NodeState, writes: &[StagedWrite]) -> Vec<Bytes> {
         if writes.is_empty() {
@@ -634,12 +609,7 @@ impl Node {
     /// node's replication and durability state, and — from the metrics
     /// registries — a `stats` counter section and a `latencystats` section
     /// with per-stage latency percentiles (DESIGN.md §10).
-    fn info_reply_locked(
-        &self,
-        guards: &StripeGuards<'_>,
-        st: &NodeState,
-        section: Option<&Bytes>,
-    ) -> Frame {
+    fn info_reply_locked(&self, engine: &Engine, st: &NodeState, section: Option<&Bytes>) -> Frame {
         let filter = section.map(|s| String::from_utf8_lossy(s).to_ascii_lowercase());
         // Bare INFO keeps its historic shape (no stats sections): existing
         // parsers split on `# ` headers and count sections.
@@ -662,10 +632,9 @@ impl Node {
         let mut text = String::new();
         if wants("server", true) {
             text.push_str(&format!(
-                "# Server\r\nredis_version:{version}\r\nengine:memorydb-repro\r\nnode_id:{id}\r\nengine_stripes:{stripes}\r\n",
-                version = guards.first_ref().version(),
+                "# Server\r\nredis_version:{version}\r\nengine:memorydb-repro\r\nnode_id:{id}\r\n",
+                version = engine.version(),
                 id = self.id,
-                stripes = guards.stripe_count(),
             ));
         }
         if wants("replication", true) {
@@ -700,11 +669,11 @@ impl Node {
             ));
         }
         if wants("keyspace", true) {
-            let keys: usize = guards.dbs().iter().map(|db| db.len()).sum();
+            let keys = engine.db.len();
             text.push_str(&format!("# Keyspace\r\ndb0:keys={keys}\r\n"));
         }
         if wants("memory", true) {
-            let used: usize = guards.dbs().iter().map(|db| db.used_memory()).sum();
+            let used = engine.db.used_memory();
             text.push_str(&format!("# Memory\r\nused_memory:{used}\r\n"));
         }
         if wants("stats", false) {

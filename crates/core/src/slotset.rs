@@ -1,6 +1,30 @@
-//! A compact bitset over the 16384 cluster slots.
+//! Pure slot maths: a compact bitset over the 16384 cluster slots, and the
+//! even split of the slot space into `k` contiguous partitions that snapshot
+//! chunking and the parallel restore share.
 
 use memorydb_engine::NUM_SLOTS;
+
+/// Maps a slot to its partition under an even `k`-way split of the slot
+/// space into contiguous ranges (`k <= 1`: everything is partition 0).
+pub fn partition_of(slot: u16, k: usize) -> usize {
+    (slot as usize * k) / (NUM_SLOTS as usize)
+}
+
+/// Inclusive slot range `[lo, hi]` of partition `p` under a `k`-way split —
+/// the inverse of [`partition_of`]. Full-snapshot chunks and the restore's
+/// replay partitions are cut on these boundaries, so a restore worker reads
+/// only its own chunks. An out-of-range `p` clamps to the last partition.
+pub fn partition_slot_range(p: usize, k: usize) -> (u16, u16) {
+    if k <= 1 {
+        return (0, NUM_SLOTS - 1);
+    }
+    let p = p.min(k - 1);
+    let num = NUM_SLOTS as usize;
+    // partition_of(slot, k) == p  ⇔  ceil(p·num/k) <= slot < ceil((p+1)·num/k)
+    let lo = (p * num).div_ceil(k);
+    let hi = ((p + 1) * num).div_ceil(k) - 1;
+    (lo as u16, (hi.min(num - 1)) as u16)
+}
 
 /// Set of cluster slots (0..16384) as a 2 KiB bitset.
 #[derive(Clone, PartialEq, Eq)]
@@ -101,6 +125,39 @@ impl SlotSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn partition_of_is_contiguous_and_covers_all_slots() {
+        for &k in &[1usize, 2, 4, 16, 64] {
+            let mut prev = 0usize;
+            for slot in 0..NUM_SLOTS {
+                let p = partition_of(slot, k);
+                assert!(p < k, "partition {p} out of range for k={k}");
+                assert!(p >= prev, "partition map must be monotone");
+                prev = p;
+            }
+            assert_eq!(partition_of(0, k), 0);
+            assert_eq!(partition_of(NUM_SLOTS - 1, k), k - 1);
+        }
+    }
+
+    #[test]
+    fn partition_slot_ranges_tile_the_slot_space() {
+        for &k in &[1usize, 2, 3, 16, 64] {
+            let mut next = 0u32;
+            for p in 0..k {
+                let (lo, hi) = partition_slot_range(p, k);
+                assert_eq!(lo as u32, next, "partition {p}/{k} must abut the previous");
+                assert!(hi >= lo);
+                assert_eq!(partition_of(lo, k), p, "lo of partition {p}/{k}");
+                assert_eq!(partition_of(hi, k), p, "hi of partition {p}/{k}");
+                next = hi as u32 + 1;
+            }
+            assert_eq!(next, NUM_SLOTS as u32, "k={k} must cover every slot");
+        }
+        // Out-of-range partition clamps instead of panicking.
+        assert_eq!(partition_slot_range(99, 4), partition_slot_range(3, 4));
+    }
 
     #[test]
     fn empty_and_full() {

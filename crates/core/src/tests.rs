@@ -4,13 +4,16 @@
 
 use crate::bus::ClusterBus;
 use crate::config::ShardConfig;
+use crate::node::Node;
 use crate::offbox::OffboxSnapshotter;
+use crate::record::Record;
 use crate::shard::{NodeIdGen, Shard};
 use bytes::Bytes;
 use memorydb_engine::exec::Role;
 use memorydb_engine::{cmd, Frame, SessionState};
 use memorydb_metrics::StageId;
 use memorydb_objectstore::ObjectStore;
+use memorydb_txlog::EntryId;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1521,7 +1524,7 @@ fn slowlog_records_commands_and_serves_get_reset_len() {
     let mut session = SessionState::new();
 
     // Threshold 0 records everything; the setting is engine config and is
-    // mirrored into the registry at the next batch.
+    // mirrored into the registry right after the CONFIG executes.
     assert_eq!(
         primary.handle(
             &mut session,
@@ -1562,9 +1565,9 @@ fn slowlog_records_commands_and_serves_get_reset_len() {
     let Frame::Array(all) = all else { panic!() };
     assert!(all.len() as i64 >= n);
 
-    // Disabled threshold records nothing. The CONFIG SET batch itself still
-    // runs under the old threshold (the mirror happens at batch start), so
-    // reset AFTER disabling.
+    // Disabled threshold records nothing. The CONFIG SET itself still runs
+    // under the old threshold (the mirror follows the command), so reset
+    // AFTER disabling.
     assert_eq!(
         primary.handle(
             &mut session,
@@ -1587,6 +1590,25 @@ fn slowlog_records_commands_and_serves_get_reset_len() {
     assert_eq!(
         primary.handle(&mut session, &cmd(["SLOWLOG", "LEN"])),
         Frame::Integer(0)
+    );
+
+    // A threshold set on one connection is in force for the next batch of
+    // another.
+    assert_eq!(
+        primary.handle(
+            &mut session,
+            &cmd(["CONFIG", "SET", "slowlog-log-slower-than", "0"])
+        ),
+        Frame::ok()
+    );
+    let mut other = SessionState::new();
+    assert_eq!(
+        primary.handle(&mut other, &cmd(["SET", "loud", "1"])),
+        Frame::ok()
+    );
+    assert_eq!(
+        primary.handle(&mut other, &cmd(["SLOWLOG", "LEN"])),
+        Frame::Integer(1)
     );
 
     let bad = primary.handle(&mut session, &cmd(["SLOWLOG", "NOPE"]));
@@ -1623,10 +1645,6 @@ fn info_sections_and_latency_histogram_reflect_stage_metrics() {
         assert!(full.contains(section), "bare INFO missing {section}");
     }
     assert!(!full.contains("# Stats"));
-    assert!(
-        full.contains("engine_stripes:16"),
-        "INFO # Server must report the stripe count: {full}"
-    );
 
     // Section filtering.
     let repl = text(&primary.handle(&mut session, &cmd(["INFO", "replication"])));
@@ -1693,24 +1711,8 @@ fn info_sections_and_latency_histogram_reflect_stage_metrics() {
 }
 
 // ---------------------------------------------------------------------------
-// Stripe routing (DESIGN.md §12)
+// One engine lock: execution order = fold order = log order (DESIGN.md §12)
 // ---------------------------------------------------------------------------
-
-fn striped_shard(stripes: usize, replicas: usize) -> Arc<Shard> {
-    let cfg = ShardConfig {
-        engine_stripes: stripes,
-        ..ShardConfig::fast()
-    };
-    Shard::bootstrap(
-        0,
-        cfg,
-        Arc::new(ObjectStore::new()),
-        Arc::new(ClusterBus::new()),
-        Arc::new(NodeIdGen::new()),
-        vec![(0, 16383)],
-        replicas,
-    )
-}
 
 /// Tiny deterministic RNG (xorshift64*): the command stream below must be a
 /// pure function of the seed so two shards replay the same program.
@@ -1731,12 +1733,12 @@ impl XorShift {
     }
 }
 
-/// Builds a deterministic batch stream that hops across stripes: point
+/// Builds a deterministic batch stream that hops across slots: point
 /// commands on three disjoint key namespaces (no cross-type collisions, so
-/// every reply is deterministic), a FLUSHDB fanning out to all stripes at
-/// the midpoint, and periodic MULTI/EXEC transactions whose keys (`foo`
-/// slot 12182, `bar` slot 5061, `n0`) land on different stripes at 16.
-fn random_cross_stripe_program(seed: u64, len: usize) -> Vec<Vec<Vec<Bytes>>> {
+/// every reply is deterministic), a FLUSHDB at the midpoint, and periodic
+/// MULTI/EXEC transactions whose keys (`foo` slot 12182, `bar` slot 5061,
+/// `n0`) hash to different slots.
+fn random_multi_slot_program(seed: u64, len: usize) -> Vec<Vec<Vec<Bytes>>> {
     let mut rng = XorShift(seed | 1);
     let mut program = Vec::new();
     for step in 0..len {
@@ -1768,48 +1770,19 @@ fn random_cross_stripe_program(seed: u64, len: usize) -> Vec<Vec<Vec<Bytes>>> {
     program
 }
 
-/// The tentpole invariant: per-stripe execution order equals fold order, so
-/// a 16-stripe shard and a 1-stripe shard fold the same command stream to
-/// byte-identical datasets, and a replica replaying the striped primary's
-/// log converges to its exact (covered, crc, dump) triple.
-#[test]
-fn striped_fold_matches_unstriped_and_replica_replay() {
-    let program = random_cross_stripe_program(0xC0FFEE, 60);
-
-    let striped = striped_shard(16, 1);
-    let unstriped = striped_shard(1, 0);
-    let ps = striped.wait_for_primary(T).unwrap();
-    let pu = unstriped.wait_for_primary(T).unwrap();
-    let mut ss = SessionState::new();
-    let mut su = SessionState::new();
-    for (i, batch) in program.iter().enumerate() {
-        let rs = ps.handle_batch(&mut ss, batch);
-        let ru = pu.handle_batch(&mut su, batch);
-        assert_eq!(rs, ru, "replies diverged at batch {i}: {batch:?}");
-    }
-
-    // Identical datasets regardless of stripe count: the snapshot dump
-    // concatenates stripes in slot order, so it is byte-comparable.
-    assert_eq!(
-        ps.capture_snapshot().2,
-        pu.capture_snapshot().2,
-        "stripe partitioning changed the folded dataset"
-    );
-
-    // The replica replays the same log stripe-by-stripe and must land on
-    // the primary's exact snapshot. Lease-renewal control records keep
-    // advancing the primary's applied index, so capture both sides until
-    // they line up on the same covered id.
-    assert!(striped.wait_replicas_caught_up(T));
-    let replica = striped.replicas().into_iter().next().unwrap();
+/// Captures primary and replica until both stand on the same covered entry
+/// (lease renewals keep advancing the primary's applied index) and asserts
+/// the replica's fold — checksum and byte-exact dump — equals the
+/// primary's. Returns that common `(covered, crc, dump)`.
+fn assert_replica_matches_primary(primary: &Node, replica: &Node) -> (EntryId, u64, Vec<u8>) {
     let deadline = std::time::Instant::now() + T;
     loop {
-        let (p_covered, p_crc, p_dump) = ps.capture_snapshot();
+        let (p_covered, p_crc, p_dump) = primary.capture_snapshot();
         let (r_covered, r_crc, r_dump) = replica.capture_snapshot();
         if p_covered == r_covered {
             assert_eq!(p_crc, r_crc, "replica fold crc diverged");
             assert_eq!(p_dump, r_dump, "replica dataset diverged");
-            break;
+            return (p_covered, p_crc, p_dump);
         }
         assert!(
             std::time::Instant::now() < deadline,
@@ -1819,17 +1792,160 @@ fn striped_fold_matches_unstriped_and_replica_replay() {
     }
 }
 
-/// MULTI/EXEC spanning stripes commits atomically under all-stripe
-/// acquisition, and a WATCH on one stripe still aborts a transaction whose
-/// queued write targets a different stripe.
+/// Execution order equals fold order equals log order: the dataset the
+/// primary folded while serving a seeded multi-slot program (FLUSHDB and
+/// MULTI/EXEC included), the one a replica reaches replaying the log, and
+/// the one a cold restore rebuilds from the same log on three replay
+/// partitions are byte-identical, with equal running checksums.
 #[test]
-fn exec_across_stripes_is_atomic_and_watch_aborts_cross_stripe() {
-    let shard = striped_shard(16, 0);
+fn primary_fold_matches_replica_replay_and_cold_restore() {
+    use crate::restore::{restore_replica_opts, ReplayTarget, RestoreOptions};
+    let program = random_multi_slot_program(0xC0FFEE, 60);
+
+    let shard = new_shard(1);
+    let primary = shard.wait_for_primary(T).unwrap();
+    let mut session = SessionState::new();
+    for (i, batch) in program.iter().enumerate() {
+        let replies = primary.handle_batch(&mut session, batch);
+        assert!(
+            replies.iter().all(|r| !r.is_error()),
+            "batch {i} failed: {batch:?} -> {replies:?}"
+        );
+    }
+
+    assert!(shard.wait_replicas_caught_up(T));
+    let replica = shard.replicas().into_iter().next().unwrap();
+    let (covered, crc, dump) = assert_replica_matches_primary(&primary, &replica);
+
+    let ctx = shard.ctx();
+    let rp = restore_replica_opts(
+        &ctx.store,
+        &ctx.log,
+        91_001,
+        &ctx.name,
+        memorydb_engine::EngineVersion::CURRENT,
+        ReplayTarget::Exactly(covered),
+        RestoreOptions { workers: 3 },
+    )
+    .unwrap();
+    assert_eq!(rp.rs.applied, covered);
+    assert_eq!(rp.rs.running_crc, crc, "cold restore fold crc diverged");
+    assert_eq!(
+        memorydb_engine::rdb::dump(&rp.engine.db),
+        dump,
+        "cold restore dataset diverged"
+    );
+}
+
+/// Four connections race interleaved single-key and multi-slot batches
+/// through `handle_batch_submit`. Every batch pushes its tag onto one list,
+/// whose reply (the length after the push) is the batch's place in
+/// execution order: the log must hold the pushes in exactly that order —
+/// the global statement `flush_runs` asserts — and a replica replaying the
+/// log must land on the primary's exact dataset.
+#[test]
+fn four_connections_log_in_reply_order_and_replica_converges() {
+    const THREADS: usize = 4;
+    const BATCHES: usize = 40;
+    let shard = new_shard(1);
+    let primary = shard.wait_for_primary(T).unwrap();
+    let start = std::sync::Barrier::new(THREADS);
+
+    // (tag, position the RPUSH reply reported), per connection in
+    // submission order.
+    let placed: Vec<Vec<(String, i64)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (primary, start) = (&primary, &start);
+                s.spawn(move || {
+                    let mut session = SessionState::new();
+                    start.wait();
+                    (0..BATCHES)
+                        .map(|i| {
+                            let tag = format!("{t}:{i}");
+                            let push = cmd(["RPUSH", "order", &tag]);
+                            // (batch, index of the push in it)
+                            let (batch, at) = match i % 3 {
+                                0 => (vec![push], 0),
+                                1 => (
+                                    vec![
+                                        cmd(["SET", &format!("k{t}"), &tag]),
+                                        push,
+                                        cmd(["INCR", &format!("n{i}")]),
+                                    ],
+                                    1,
+                                ),
+                                _ => (
+                                    vec![
+                                        cmd(["MULTI"]),
+                                        cmd(["SET", "foo", &tag]),
+                                        cmd(["SET", "bar", &tag]),
+                                        cmd(["EXEC"]),
+                                        push,
+                                    ],
+                                    4,
+                                ),
+                            };
+                            let sb = primary.handle_batch_submit(&mut session, &batch);
+                            let replies = primary.wait_finish(sb);
+                            let Frame::Integer(pos) = replies[at] else {
+                                panic!("RPUSH reply of {tag}: {replies:?}");
+                            };
+                            (tag, pos)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    // The pushes as the log holds them.
+    let entries = shard
+        .ctx()
+        .log
+        .read_committed_from(91_002, EntryId::ZERO, 4096)
+        .unwrap();
+    let logged: Vec<String> = entries
+        .iter()
+        .filter_map(|e| match Record::decode_framed(&e.payload) {
+            Ok(Record::Effects { effects, .. }) => Some(effects),
+            _ => None,
+        })
+        .flatten()
+        .filter(|eff| eff.first().is_some_and(|n| &n[..] == b"RPUSH"))
+        .map(|eff| String::from_utf8(eff[2].to_vec()).unwrap())
+        .collect();
+    assert_eq!(logged.len(), THREADS * BATCHES);
+    for conn in &placed {
+        assert!(
+            conn.windows(2).all(|w| w[0].1 < w[1].1),
+            "a connection's batches executed out of submission order: {conn:?}"
+        );
+        for (tag, pos) in conn {
+            assert_eq!(
+                &logged[*pos as usize - 1],
+                tag,
+                "reply said position {pos}, the log disagrees"
+            );
+        }
+    }
+
+    assert!(shard.wait_replicas_caught_up(T));
+    let replica = shard.replicas().into_iter().next().unwrap();
+    assert_replica_matches_primary(&primary, &replica);
+}
+
+/// MULTI/EXEC spanning slots commits atomically, and a WATCH on a key of
+/// one slot still aborts a transaction whose queued write targets another.
+#[test]
+fn exec_across_slots_is_atomic_and_watch_aborts_across_slots() {
+    let shard = new_shard(0);
     let primary = shard.wait_for_primary(T).unwrap();
     let mut session = SessionState::new();
     let queued = Frame::Simple("QUEUED".into());
 
-    // foo (slot 12182) and bar (slot 5061) live on different stripes at 16.
+    // foo (slot 12182) and bar (slot 5061) hash to different slots.
     let replies = primary.handle_batch(
         &mut session,
         &[
@@ -1857,9 +1973,9 @@ fn exec_across_stripes_is_atomic_and_watch_aborts_cross_stripe() {
         bulk("B")
     );
 
-    // WATCH a key on one stripe, queue a write to another stripe, then let
-    // a second session clobber the watched key: EXEC must abort (null
-    // reply) and the queued cross-stripe write must not land.
+    // WATCH a key, queue a write to a key of another slot, then let a
+    // second session clobber the watched key: EXEC must abort (null reply)
+    // and the queued write must not land.
     assert_eq!(
         primary.handle(&mut session, &cmd(["WATCH", "foo"])),
         Frame::ok()
@@ -1881,11 +1997,12 @@ fn exec_across_stripes_is_atomic_and_watch_aborts_cross_stripe() {
     );
 }
 
-/// SCAN's composite cursor (stripe index in the high bits) walks every
-/// stripe to completion and visits each key exactly once per pass.
+/// One SCAN pass returns every key that existed when it began exactly
+/// once and ends on cursor `0`, while another connection keeps adding and
+/// overwriting keys between the pages.
 #[test]
-fn scan_iterates_every_stripe() {
-    let shard = striped_shard(16, 0);
+fn scan_visits_every_key_once_while_another_connection_writes() {
+    let shard = new_shard(0);
     let primary = shard.wait_for_primary(T).unwrap();
     let mut session = SessionState::new();
     for i in 0..100 {
@@ -1895,9 +2012,10 @@ fn scan_iterates_every_stripe() {
         );
     }
 
-    let mut seen = std::collections::BTreeSet::new();
+    let mut writer = SessionState::new();
+    let mut seen = std::collections::BTreeMap::<String, usize>::new();
     let mut cursor = String::from("0");
-    for _round in 0..200 {
+    for round in 0..200 {
         let reply = primary.handle(&mut session, &cmd(["SCAN", &cursor, "COUNT", "7"]));
         let Frame::Array(items) = reply else {
             panic!("SCAN must return [cursor, keys]")
@@ -1916,23 +2034,40 @@ fn scan_iterates_every_stripe() {
             let Frame::Bulk(kb) = k else {
                 panic!("SCAN key must be bulk, got {k:?}")
             };
-            seen.insert(String::from_utf8_lossy(kb).into_owned());
+            *seen
+                .entry(String::from_utf8_lossy(kb).into_owned())
+                .or_default() += 1;
         }
         if cursor == "0" {
             break;
         }
+        // The other connection: one new key, one overwrite of an old one.
+        let replies = primary.handle_batch(
+            &mut writer,
+            &[
+                cmd(["SET", &format!("w{round}"), "v"]),
+                cmd(["SET", &format!("k{}", round % 100), "v2"]),
+            ],
+        );
+        assert_eq!(replies, vec![Frame::ok(), Frame::ok()]);
     }
     assert_eq!(cursor, "0", "SCAN never terminated");
-    assert_eq!(seen.len(), 100, "SCAN must visit every stripe's keys");
+    for i in 0..100 {
+        assert_eq!(
+            seen.get(&format!("k{i}")),
+            Some(&1),
+            "k{i} must be returned exactly once"
+        );
+    }
+    assert!(seen.values().all(|&n| n == 1), "a key came back twice");
 }
 
-/// A composite cursor taken mid-scan stays valid across FLUSHDB: replaying
-/// it against the now-empty keyspace fast-forwards through the exhausted
-/// stripes and terminates in ONE call instead of handing back a stale
-/// non-zero cursor the client would chase forever.
+/// A cursor taken mid-scan stays valid across FLUSHDB: replaying it against
+/// the now-empty keyspace terminates in ONE call instead of handing back a
+/// stale non-zero cursor the client would chase forever.
 #[test]
 fn scan_cursor_from_before_flushdb_terminates_promptly() {
-    let shard = striped_shard(16, 0);
+    let shard = new_shard(0);
     let primary = shard.wait_for_primary(T).unwrap();
     let mut session = SessionState::new();
     for i in 0..100 {
@@ -1959,9 +2094,6 @@ fn scan_cursor_from_before_flushdb_terminates_promptly() {
 
     assert_eq!(primary.handle(&mut session, &cmd(["FLUSHDB"])), Frame::ok());
 
-    // The stale cursor must land on "0" with no keys in a single call: the
-    // scan loop skips every exhausted empty stripe instead of bouncing the
-    // client once per stripe (or worse, echoing a cursor that never ends).
     let reply = primary.handle(&mut session, &cmd(["SCAN", &cursor, "COUNT", "7"]));
     assert_eq!(
         reply,
@@ -2240,7 +2372,7 @@ fn publish_manifest(
     use crate::manifest::{ChunkRef, SnapshotManifest};
     use memorydb_engine::rdb;
     use memorydb_txlog::EntryId;
-    let blobs = rdb::dump_slot_ranges(&[&engine.db], ranges);
+    let blobs = rdb::dump_slot_ranges(&engine.db, ranges);
     let mut chunks = Vec::new();
     for (&(lo, hi), blob) in ranges.iter().zip(blobs) {
         chunks.push(ChunkRef {
@@ -2279,8 +2411,7 @@ fn publish_manifest(
 #[test]
 fn partition_direct_restore_matches_decode_mask_merge() {
     use crate::restore::{restore_replica_opts, ReplayTarget, RestoreOptions};
-    use crate::slotset::SlotSet;
-    use crate::stripes::slot_range_of;
+    use crate::slotset::{partition_slot_range, SlotSet};
     use memorydb_engine::{key_hash_slot, rdb, Db, Engine, EngineVersion};
     for seed in 0..10u64 {
         let mut rng = Lcg(0xC0FF_EE00 + seed);
@@ -2292,7 +2423,9 @@ fn partition_direct_restore_matches_decode_mask_merge() {
         // Full base, chunked like the snapshotter chunks it.
         random_keyspace_step(&mut engine, &mut rng, 400);
         let n_chunks = [1usize, 4, 16][(rng.next() % 3) as usize];
-        let full: Vec<(u16, u16)> = (0..n_chunks).map(|i| slot_range_of(i, n_chunks)).collect();
+        let full: Vec<(u16, u16)> = (0..n_chunks)
+            .map(|i| partition_slot_range(i, n_chunks))
+            .collect();
         let mut manifests = vec![publish_manifest(&store, &engine, 100, None, &full)];
 
         // Deltas: rewrite some slots, empty one entirely, and publish
@@ -2311,8 +2444,7 @@ fn partition_direct_restore_matches_decode_mask_merge() {
             let mut ranges: Vec<(u16, u16)> = tag_slots
                 .iter()
                 .filter(|&&s| {
-                    rdb::dump_slot_range(&[&before], s, s)
-                        != rdb::dump_slot_range(&[&engine.db], s, s)
+                    rdb::dump_slot_range(&before, s, s) != rdb::dump_slot_range(&engine.db, s, s)
                 })
                 .map(|&s| (s, s))
                 .collect();
@@ -2715,35 +2847,26 @@ fn bootstrap_writes_slot_ownership_as_a_frame() {
     );
 }
 
-/// Satellite: DBSIZE and RANDOMKEY are no longer all-stripe commands. On a
-/// 16-stripe shard DBSIZE answers from one stripe's live count plus the
-/// per-stripe key counters (refreshed on every guard release, so
-/// sequential reads are exact), and RANDOMKEY locks one weighted-random
-/// stripe. Both must agree with a 1-stripe shard folding the same stream.
+/// DBSIZE is exact after every write and delete, RANDOMKEY draws live keys
+/// from across the keyspace, and both read an empty database as empty.
 #[test]
-fn dbsize_and_randomkey_striped_match_unstriped() {
-    let striped = striped_shard(16, 0);
-    let unstriped = striped_shard(1, 0);
-    let ps = striped.wait_for_primary(T).unwrap();
-    let pu = unstriped.wait_for_primary(T).unwrap();
-    let mut ss = SessionState::new();
-    let mut su = SessionState::new();
+fn dbsize_and_randomkey_track_the_keyspace() {
+    let shard = new_shard(0);
+    let primary = shard.wait_for_primary(T).unwrap();
+    let mut s = SessionState::new();
 
     for i in 0..64i64 {
         let k = format!("k{i}");
-        assert_eq!(ps.handle(&mut ss, &cmd(["SET", &k, "v"])), Frame::ok());
-        assert_eq!(pu.handle(&mut su, &cmd(["SET", &k, "v"])), Frame::ok());
-        // Exact at every step, not only at the end.
-        assert_eq!(ps.handle(&mut ss, &cmd(["DBSIZE"])), Frame::Integer(i + 1));
-        assert_eq!(pu.handle(&mut su, &cmd(["DBSIZE"])), Frame::Integer(i + 1));
+        assert_eq!(primary.handle(&mut s, &cmd(["SET", &k, "v"])), Frame::ok());
+        assert_eq!(
+            primary.handle(&mut s, &cmd(["DBSIZE"])),
+            Frame::Integer(i + 1)
+        );
     }
 
-    // RANDOMKEY returns only live keys, and the weighted stripe pick must
-    // reach a broad spread of them — a stuck stripe selector would
-    // concentrate on one stripe's handful of keys.
     let mut seen = std::collections::HashSet::new();
     for _ in 0..512 {
-        match ps.handle(&mut ss, &cmd(["RANDOMKEY"])) {
+        match primary.handle(&mut s, &cmd(["RANDOMKEY"])) {
             Frame::Bulk(k) => {
                 let k = String::from_utf8(k.to_vec()).unwrap();
                 assert!(k.starts_with('k'), "RANDOMKEY invented key {k}");
@@ -2758,19 +2881,45 @@ fn dbsize_and_randomkey_striped_match_unstriped() {
         seen.len()
     );
 
-    // Deletions keep the counters exact too.
     for i in 0..32 {
         let k = format!("k{i}");
-        assert_eq!(ps.handle(&mut ss, &cmd(["DEL", &k])), Frame::Integer(1));
-        assert_eq!(pu.handle(&mut su, &cmd(["DEL", &k])), Frame::Integer(1));
+        assert_eq!(primary.handle(&mut s, &cmd(["DEL", &k])), Frame::Integer(1));
     }
-    assert_eq!(ps.handle(&mut ss, &cmd(["DBSIZE"])), Frame::Integer(32));
-    assert_eq!(pu.handle(&mut su, &cmd(["DBSIZE"])), Frame::Integer(32));
+    assert_eq!(primary.handle(&mut s, &cmd(["DBSIZE"])), Frame::Integer(32));
 
-    // Empty database: DBSIZE 0 and RANDOMKEY Null on both.
-    assert_eq!(ps.handle(&mut ss, &cmd(["FLUSHALL"])), Frame::ok());
-    assert_eq!(ps.handle(&mut ss, &cmd(["DBSIZE"])), Frame::Integer(0));
-    assert_eq!(ps.handle(&mut ss, &cmd(["RANDOMKEY"])), Frame::Null);
+    assert_eq!(primary.handle(&mut s, &cmd(["FLUSHALL"])), Frame::ok());
+    assert_eq!(primary.handle(&mut s, &cmd(["DBSIZE"])), Frame::Integer(0));
+    assert_eq!(primary.handle(&mut s, &cmd(["RANDOMKEY"])), Frame::Null);
+}
+
+/// A batch that finds the engine lock held counts one conflict before it
+/// blocks (the `stripe_conflicts` row the ledger reads).
+#[test]
+fn engine_lock_conflicts_are_counted() {
+    let shard = new_shard(0);
+    let primary = shard.wait_for_primary(T).unwrap();
+    let conflicts = || {
+        primary
+            .metrics()
+            .snapshot()
+            .counter("stripe_conflicts")
+            .unwrap_or(0)
+    };
+    let before = conflicts();
+    let held = primary.engine.lock();
+    std::thread::scope(|s| {
+        let blocked = s.spawn(|| primary.handle(&mut SessionState::new(), &cmd(["PING"])));
+        // The counter moves before the submitter blocks, so seeing it move
+        // is seeing the submitter inside its contended acquisition.
+        let deadline = std::time::Instant::now() + T;
+        while conflicts() == before {
+            assert!(std::time::Instant::now() < deadline, "no conflict counted");
+            std::thread::yield_now();
+        }
+        drop(held);
+        assert_eq!(blocked.join().unwrap(), Frame::Simple("PONG".into()));
+    });
+    assert!(conflicts() > before);
 }
 
 /// Teardown must not wait out `commit_timeout`: with a lease renewal

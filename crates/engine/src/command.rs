@@ -395,7 +395,7 @@ pub fn arity_ok(spec: &CommandSpec, argc: usize) -> bool {
 /// commands or malformed key layouts (in which case `f` is never called —
 /// layouts are validated before the first visit). The allocating
 /// [`keys_for`] is implemented on top of this; hot paths that only need to
-/// *look at* the keys (stripe classification, expiry reaping) call this
+/// *look at* the keys (expiry reaping) call this
 /// directly and skip the `Vec`.
 pub fn for_each_key(args: &[Bytes], mut f: impl FnMut(&Bytes)) -> Option<usize> {
     if args.is_empty() {

@@ -415,32 +415,6 @@ impl Db {
         self.entries.iter()
     }
 
-    /// Splits the keyspace into `n` partitions, assigning each key by
-    /// `stripe_of(slot)`. Whole entries move — TTLs and versions included —
-    /// with one hash insert each, and every partition continues this
-    /// keyspace's version counter and removed-key floor.
-    pub fn split_by_slot(self, n: usize, stripe_of: impl Fn(u16) -> usize) -> Vec<Db> {
-        let n = n.max(1);
-        if n == 1 {
-            return vec![self];
-        }
-        let mut out: Vec<Db> = (0..n)
-            .map(|_| Db {
-                version_counter: self.version_counter,
-                removed_floor: self.removed_floor,
-                ..Db::with_capacity(self.entries.len() / n)
-            })
-            .collect();
-        let last = n - 1;
-        for (key, entry) in self.entries {
-            let idx = stripe_of(key_hash_slot(&key)).min(last);
-            if let Some(db) = out.get_mut(idx) {
-                db.adopt(key, entry);
-            }
-        }
-        out
-    }
-
     /// Moves every entry of `other` into this keyspace, TTLs and versions
     /// included, one hash insert each. The restore merge feeds disjoint
     /// partitions; a key present on both sides keeps `other`'s entry, so
@@ -683,39 +657,28 @@ mod tests {
     }
 
     #[test]
-    fn split_then_absorb_is_the_identity() {
-        let mut db = Db::new();
+    fn absorbing_disjoint_slot_partitions_rebuilds_the_keyspace() {
+        let n = 4usize;
+        let mut whole = Db::new();
+        let mut parts: Vec<Db> = (0..n).map(|_| Db::new()).collect();
         for i in 0..500 {
             let k = b(&format!("k{i}"));
-            db.set_value(k.clone(), sval(&format!("v{i}")));
-            if i % 3 == 0 {
-                db.set_expiry(&k, Some(1_000 + i));
-            }
+            let expire_at = (i % 3 == 0).then_some(1_000 + i);
+            let p = key_hash_slot(&k) as usize * n / NUM_SLOTS as usize;
+            parts[p].insert_loaded(k.clone(), sval(&format!("v{i}")), expire_at);
+            whole.insert_loaded(k, sval(&format!("v{i}")), expire_at);
         }
-        db.remove(b"k7");
-        let before = db.clone();
-        let n = 4usize;
-        let parts = db.split_by_slot(n, |slot| slot as usize * n / NUM_SLOTS as usize);
-        assert_eq!(parts.len(), n);
         assert!(parts.iter().all(|p| !p.is_empty()));
-        for (i, p) in parts.iter().enumerate() {
-            assert_consistent(p);
-            assert_eq!(p.version(b"k7"), before.version(b"k7"), "floor carries");
-            for key in &p.key_list {
-                assert_eq!(key_hash_slot(key) as usize * n / NUM_SLOTS as usize, i);
-            }
-        }
         let mut parts = parts.into_iter();
         let mut merged = parts.next().unwrap();
         for p in parts {
             merged.absorb(p);
         }
         assert_consistent(&merged);
-        assert_eq!(merged.len(), before.len());
-        for (key, e) in before.iter_entries() {
+        assert_eq!(merged.len(), whole.len());
+        for (key, e) in whole.iter_entries() {
             assert_eq!(merged.lookup(key, 0), Some(&e.value));
             assert_eq!(merged.expiry(key), e.expire_at);
-            assert_eq!(merged.version(key), before.version(key));
         }
     }
 

@@ -56,19 +56,6 @@ impl SessionState {
         self.queued.is_some()
     }
 
-    /// Closes any open `MULTI` block, returning its queued commands, whether
-    /// a queueing error occurred, and the `WATCH` snapshot. The session is
-    /// reset. The striped node-level `EXEC` uses this to route each queued
-    /// command to its owning stripe itself, mirroring
-    /// [`Engine::execute`]'s transaction semantics.
-    pub fn take_transaction(&mut self) -> (Vec<Vec<Bytes>>, bool, Vec<(Bytes, u64)>) {
-        let queued = self.queued.take().unwrap_or_default();
-        let queue_error = self.queue_error;
-        let watches = std::mem::take(&mut self.watches);
-        self.reset();
-        (queued, queue_error, watches)
-    }
-
     fn reset(&mut self) {
         self.queued = None;
         self.queue_error = false;
@@ -557,74 +544,11 @@ impl Engine {
         &self.config
     }
 
-    /// Reads one CONFIG parameter. The node layer polls observability knobs
+    /// Reads one CONFIG parameter. The node layer mirrors observability knobs
     /// (e.g. `slowlog-log-slower-than`) from here under the engine lock it
     /// already holds, so `CONFIG SET` takes effect without extra plumbing.
     pub fn config_param(&self, key: &str) -> Option<&str> {
         self.config.get(key).map(String::as_str)
-    }
-
-    /// Executes one command outside any transaction context.
-    ///
-    /// The striped node routes `MULTI`/`EXEC`/`WATCH` and queueing itself
-    /// (they are session concerns, not keyspace concerns) and hands each
-    /// stripe's engine one already-routed command at a time through here.
-    pub fn execute_single(&mut self, args: &[Bytes]) -> ExecOutcome {
-        if args.is_empty() {
-            return ExecOutcome::error("empty command");
-        }
-        let name = CmdName::from_arg(&args[0]);
-        self.execute_one(&name, args)
-    }
-
-    /// Looks up a cached script body by lowercase sha. The striped `EVALSHA`
-    /// path resolves the source first, then runs the script against its
-    /// multi-stripe host.
-    pub fn script_source(&self, sha: &str) -> Option<Bytes> {
-        self.scripts.get(sha).cloned()
-    }
-
-    /// Draws a uniform index in `0..n` from the engine RNG (the striped
-    /// `RANDOMKEY` picks an owning stripe with this before delegating).
-    /// Randomized commands replicate by their realized effects, so this
-    /// choice never has to match any other node's.
-    pub fn rand_index(&mut self, n: usize) -> usize {
-        use rand::RngCore;
-        if n == 0 {
-            0
-        } else {
-            (self.rng.next_u64() % n as u64) as usize
-        }
-    }
-
-    /// Splits this engine into `n` stripe engines partitioned by
-    /// `stripe_of(slot)`. Each stripe keeps the role, version, clock, config
-    /// and script cache; keyspace entries move to their owning stripe. RNGs
-    /// are freshly seeded — acceptable because randomized commands replicate
-    /// by their realized effects, never by the random choice itself.
-    pub fn split_striped(self, n: usize, stripe_of: impl Fn(u16) -> usize) -> Vec<Engine> {
-        let Engine {
-            db,
-            now_ms,
-            role,
-            version,
-            config,
-            scripts,
-            ..
-        } = self;
-        db.split_by_slot(n, stripe_of)
-            .into_iter()
-            .map(|part| Engine {
-                db: part,
-                now_ms,
-                role,
-                version,
-                rng: StdRng::seed_from_u64(0x5EED),
-                applying_effects: false,
-                config: config.clone(),
-                scripts: scripts.clone(),
-            })
-            .collect()
     }
 }
 

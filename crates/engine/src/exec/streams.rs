@@ -25,7 +25,7 @@ fn stream_mut<'a>(e: &'a mut Engine, key: &Bytes) -> Result<&'a mut Stream, Exec
     }
     match e
         .db
-        .entry_or_insert_with(key, now, || Value::Stream(Stream::new()))
+        .entry_or_insert_with(key, now, || Value::Stream(Box::default()))
     {
         Value::Stream(s) => Ok(s),
         _ => Err(wrongtype()),

@@ -23,7 +23,7 @@ fn zset_mut<'a>(e: &'a mut Engine, key: &Bytes) -> Result<&'a mut ZSet, ExecOutc
     }
     match e
         .db
-        .entry_or_insert_with(key, now, || Value::ZSet(ZSet::new()))
+        .entry_or_insert_with(key, now, || Value::ZSet(Box::default()))
     {
         Value::ZSet(z) => Ok(z),
         _ => Err(wrongtype()),
@@ -834,7 +834,7 @@ pub(super) fn zstore(e: &mut Engine, a: &[Bytes], op: ZOp) -> CmdResult {
         eff.push(m.clone());
     }
     let existed = e.db.exists(&dest, e.now());
-    e.db.set_value(dest.clone(), Value::ZSet(z));
+    e.db.set_value(dest.clone(), Value::ZSet(Box::new(z)));
     let mut effects = Vec::new();
     if existed {
         effects.push(vec![Bytes::from_static(b"DEL"), dest.clone()]);

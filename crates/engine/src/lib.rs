@@ -48,12 +48,11 @@ pub mod slots;
 pub mod value;
 pub mod version;
 
-pub use command::{command_spec, for_each_key, keys_for, CmdName, CommandFlags, CommandSpec};
+pub use command::{command_spec, keys_for, CmdName, CommandFlags, CommandSpec};
 pub use db::Db;
 pub use effects::{DirtySet, EffectCmd, ExecOutcome};
 pub use exec::{Engine, SessionState};
 pub use memorydb_resp::Frame;
-pub use script::{eval_on_host, ScriptHost};
 pub use slots::{key_hash_slot, NUM_SLOTS};
 pub use value::Value;
 pub use version::EngineVersion;

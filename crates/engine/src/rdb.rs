@@ -346,7 +346,7 @@ fn read_value(r: &mut Reader<'_>) -> Result<Value, RdbError> {
                 }
                 z.insert(m, score);
             }
-            Ok(Value::ZSet(z))
+            Ok(Value::ZSet(Box::new(z)))
         }
         TAG_STREAM => {
             let mut s = Stream::new();
@@ -412,7 +412,7 @@ fn read_value(r: &mut Reader<'_>) -> Result<Value, RdbError> {
                 }
                 s.groups.insert(name, group);
             }
-            Ok(Value::Stream(s))
+            Ok(Value::Stream(Box::new(s)))
         }
         TAG_HLL => {
             let raw = r.bytes()?;
@@ -487,28 +487,20 @@ pub fn dump(db: &Db) -> Vec<u8> {
     dump_entries(db.iter_entries().collect())
 }
 
-/// Serializes several disjoint keyspaces into one snapshot, as if they were
-/// a single [`Db`]. Entries are merge-sorted by key across partitions, so the
-/// output is byte-identical to [`dump`] of the unsplit keyspace — striped
-/// engines snapshot without re-merging their data first.
-pub fn dump_multi(dbs: &[&Db]) -> Vec<u8> {
-    dump_entries(dbs.iter().flat_map(|db| db.iter_entries()).collect())
-}
-
-/// Serializes only the keys whose hash slot falls in `lo..=hi`, merge-sorted
-/// across partitions. This is the payload of one incremental-snapshot chunk:
-/// the same envelope as [`dump`], so [`load`] decodes it unchanged, but
-/// restricted to a slot range so deltas ship only dirtied slots.
-pub fn dump_slot_range(dbs: &[&Db], lo: u16, hi: u16) -> Vec<u8> {
-    dump_slot_ranges(dbs, &[(lo, hi)]).pop().unwrap_or_default()
+/// Serializes only the keys whose hash slot falls in `lo..=hi`. This is the
+/// payload of one incremental-snapshot chunk: the same envelope as [`dump`],
+/// so [`load`] decodes it unchanged, but restricted to a slot range so deltas
+/// ship only dirtied slots.
+pub fn dump_slot_range(db: &Db, lo: u16, hi: u16) -> Vec<u8> {
+    dump_slot_ranges(db, &[(lo, hi)]).pop().unwrap_or_default()
 }
 
 /// [`dump_slot_range`] for every range of `ranges` (ascending, disjoint) in
 /// one pass over the keyspace: each key's slot is computed once and the
 /// entry lands in the bucket of the range holding it, or nowhere.
-pub fn dump_slot_ranges(dbs: &[&Db], ranges: &[(u16, u16)]) -> Vec<Vec<u8>> {
+pub fn dump_slot_ranges(db: &Db, ranges: &[(u16, u16)]) -> Vec<Vec<u8>> {
     let mut buckets: Vec<Vec<(&Bytes, &crate::db::Entry)>> = vec![Vec::new(); ranges.len()];
-    for (key, entry) in dbs.iter().flat_map(|db| db.iter_entries()) {
+    for (key, entry) in db.iter_entries() {
         let slot = crate::slots::key_hash_slot(key);
         let i = ranges.partition_point(|r| r.1 < slot);
         if let (Some(r), Some(bucket)) = (ranges.get(i), buckets.get_mut(i)) {
@@ -674,22 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn dump_multi_matches_single_dump() {
-        let e = populated_engine();
-        let whole = dump(&e.db);
-        let n = 4usize;
-        let parts = e.db.clone().split_by_slot(n, |slot| {
-            (slot as usize * n) / crate::slots::NUM_SLOTS as usize
-        });
-        assert!(parts.iter().filter(|p| !p.is_empty()).count() > 1);
-        let refs: Vec<&Db> = parts.iter().collect();
-        assert_eq!(dump_multi(&refs), whole);
-        // Degenerate cases: one partition, and empty input.
-        assert_eq!(dump_multi(&[&e.db]), whole);
-        assert_eq!(dump_multi(&[]), dump(&Db::new()));
-    }
-
-    #[test]
     fn dump_slot_range_partitions_cover_dump() {
         let e = populated_engine();
         // Disjoint ranges covering the whole slot space must together hold
@@ -697,7 +673,7 @@ mod tests {
         let ranges = [(0u16, 4095u16), (4096, 8191), (8192, 12287), (12288, 16383)];
         let mut total = 0usize;
         for (lo, hi) in ranges {
-            let chunk = dump_slot_range(&[&e.db], lo, hi);
+            let chunk = dump_slot_range(&e.db, lo, hi);
             let part = load(&chunk).unwrap();
             for (key, entry) in part.iter_entries() {
                 let slot = crate::slots::key_hash_slot(key);
@@ -710,7 +686,7 @@ mod tests {
         assert_eq!(total, e.db.len());
         // The full slot range is byte-identical to a plain dump.
         assert_eq!(
-            dump_slot_range(&[&e.db], 0, crate::slots::NUM_SLOTS - 1),
+            dump_slot_range(&e.db, 0, crate::slots::NUM_SLOTS - 1),
             dump(&e.db)
         );
     }
@@ -720,7 +696,7 @@ mod tests {
         let e = populated_engine();
         // Gaps between ranges, a single-slot range, and slots no key has.
         let ranges = [(0u16, 900u16), (5061, 5061), (6000, 12000), (12183, 16383)];
-        let blobs = dump_slot_ranges(&[&e.db], &ranges);
+        let blobs = dump_slot_ranges(&e.db, &ranges);
         assert_eq!(blobs.len(), ranges.len());
         let mut held = 0;
         for (&(lo, hi), blob) in ranges.iter().zip(&blobs) {
@@ -731,14 +707,14 @@ mod tests {
                 }
             }
             assert_eq!(blob, &dump(&want), "range {lo}..={hi}");
-            assert_eq!(blob, &dump_slot_range(&[&e.db], lo, hi));
+            assert_eq!(blob, &dump_slot_range(&e.db, lo, hi));
             held += want.len();
         }
         assert!(
             held > 0 && held < e.db.len(),
             "ranges must hold some keys, not all"
         );
-        assert!(dump_slot_ranges(&[&e.db], &[]).is_empty());
+        assert!(dump_slot_ranges(&e.db, &[]).is_empty());
     }
 
     #[test]

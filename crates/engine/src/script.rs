@@ -28,7 +28,7 @@
 //! MemoryDB's core commits that batch as a single transaction-log record.
 
 use crate::effects::{DirtySet, EffectCmd, ExecOutcome};
-use crate::exec::{CmdResult, Engine};
+use crate::exec::{CmdResult, Engine, SessionState};
 use bytes::Bytes;
 use memorydb_resp::Frame;
 use std::collections::HashMap;
@@ -85,27 +85,6 @@ pub fn sha1_hex(data: &[u8]) -> String {
     h.iter().map(|x| format!("{x:08x}")).collect()
 }
 
-/// Where a script's inner `CALL`s execute.
-///
-/// The engine itself is the ordinary host: every CALL runs against the one
-/// keyspace. A striped node substitutes a host that routes each CALL to the
-/// stripe owning its keys (with every stripe lock held, preserving the
-/// script's atomicity), which is why the seam exists: scripts may touch keys
-/// they never declared, so routing must happen per inner command, not per
-/// script.
-pub trait ScriptHost {
-    /// Executes one inner CALL command (never MULTI/EXEC/EVAL — the
-    /// interpreter rejects those before calling).
-    fn run_script_cmd(&mut self, cmd: &[Bytes]) -> ExecOutcome;
-}
-
-impl ScriptHost for Engine {
-    fn run_script_cmd(&mut self, cmd: &[Bytes]) -> ExecOutcome {
-        let mut session = crate::exec::SessionState::new();
-        self.execute(&mut session, cmd)
-    }
-}
-
 /// `SCRIPT LOAD src | EXISTS sha... | FLUSH`
 pub(crate) fn script_cmd(e: &mut Engine, a: &[Bytes]) -> CmdResult {
     match crate::exec::upper(&a[1]).as_str() {
@@ -157,20 +136,6 @@ pub(crate) fn evalsha(e: &mut Engine, a: &[Bytes]) -> CmdResult {
 
 /// `EVAL script numkeys key... arg...`
 pub(crate) fn eval(e: &mut Engine, a: &[Bytes]) -> CmdResult {
-    eval_inner(e, a)
-}
-
-/// Runs `EVAL args` against an arbitrary [`ScriptHost`]. The caller must
-/// have validated arity (`args.len() >= 3`). Error replies come back as the
-/// outcome's reply frame, like [`Engine::execute`].
-pub fn eval_on_host(host: &mut dyn ScriptHost, a: &[Bytes]) -> ExecOutcome {
-    match eval_inner(host, a) {
-        Ok(out) => out,
-        Err(out) => out,
-    }
-}
-
-fn eval_inner(host: &mut dyn ScriptHost, a: &[Bytes]) -> CmdResult {
     let src = String::from_utf8_lossy(&a[1]).to_string();
     let nk: usize = std::str::from_utf8(&a[2])
         .ok()
@@ -187,7 +152,7 @@ fn eval_inner(host: &mut dyn ScriptHost, a: &[Bytes]) -> CmdResult {
     let program =
         parse(&src).map_err(|msg| ExecOutcome::error(format!("script parse error: {msg}")))?;
     let mut interp = Interp {
-        host,
+        engine: e,
         vars: HashMap::new(),
         keys,
         argv,
@@ -399,7 +364,7 @@ enum Flow {
 }
 
 struct Interp<'a> {
-    host: &'a mut dyn ScriptHost,
+    engine: &'a mut Engine,
     vars: HashMap<String, Frame>,
     keys: Vec<Bytes>,
     argv: Vec<Bytes>,
@@ -481,7 +446,7 @@ impl<'a> Interp<'a> {
                     ) {
                         return Err(format!("{name} is not allowed inside a script"));
                     }
-                    let outcome = self.host.run_script_cmd(&cmd);
+                    let outcome = self.engine.execute(&mut SessionState::new(), &cmd);
                     if let Frame::Error(msg) = &outcome.reply {
                         return Err(msg.to_string());
                     }

@@ -15,10 +15,12 @@ pub enum Value {
     Hash(HashMap<Bytes, Bytes>),
     /// Unordered set of members.
     Set(HashSet<Bytes>),
-    /// Sorted set backed by a skiplist with rank spans.
-    ZSet(ZSet),
+    /// Sorted set backed by a skiplist with rank spans. Boxed, like
+    /// `Stream`: the two largest variants would otherwise set the size of
+    /// every keyspace entry, whatever its type.
+    ZSet(Box<ZSet>),
     /// Append-only stream of id → field/value entries.
-    Stream(Stream),
+    Stream(Box<Stream>),
     /// Dense HyperLogLog (stored as its own type; `PF*` commands only).
     Hll(Hll),
 }
@@ -76,13 +78,21 @@ impl Value {
 mod tests {
     use super::*;
 
+    /// Every key of every type pays for the largest variant: an inline
+    /// variant above 56 bytes fails here instead of growing each entry.
+    #[test]
+    fn value_and_entry_stay_small() {
+        assert!(std::mem::size_of::<Value>() <= 56);
+        assert!(std::mem::size_of::<crate::db::Entry>() <= 88);
+    }
+
     #[test]
     fn type_names() {
         assert_eq!(Value::Str(Bytes::new()).type_name(), "string");
         assert_eq!(Value::List(VecDeque::new()).type_name(), "list");
         assert_eq!(Value::Hash(HashMap::new()).type_name(), "hash");
         assert_eq!(Value::Set(HashSet::new()).type_name(), "set");
-        assert_eq!(Value::ZSet(ZSet::new()).type_name(), "zset");
+        assert_eq!(Value::ZSet(Box::default()).type_name(), "zset");
         assert_eq!(Value::Hll(Hll::new()).type_name(), "string");
     }
 
@@ -91,7 +101,7 @@ mod tests {
         assert!(Value::List(VecDeque::new()).is_empty_container());
         assert!(Value::Hash(HashMap::new()).is_empty_container());
         assert!(Value::Set(HashSet::new()).is_empty_container());
-        assert!(Value::ZSet(ZSet::new()).is_empty_container());
+        assert!(Value::ZSet(Box::default()).is_empty_container());
         assert!(!Value::Str(Bytes::new()).is_empty_container());
         let mut l = VecDeque::new();
         l.push_back(Bytes::from_static(b"x"));

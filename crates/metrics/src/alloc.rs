@@ -6,8 +6,8 @@
 //! census harness (`memorydb-bench`'s `alloc_census` binary) installs it as
 //! `#[global_allocator]`, so production builds pay nothing. The counters
 //! measure the zero-copy hot-path claim (DESIGN.md §15): at pipeline depth
-//! 1, allocations-per-command *is* the latency floor, and unlike the
-//! stripe-scaling gates this census is meaningful on a 1-core host.
+//! 1, allocations-per-command *is* the latency floor, and being a count,
+//! not a time, this census is meaningful on a 1-core host.
 //!
 //! Only `alloc`/`alloc_zeroed`/`realloc` count (each is one heap round-trip
 //! the serve path asked for); `dealloc` is free to the census because every

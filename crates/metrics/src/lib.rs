@@ -46,7 +46,8 @@ use std::time::Instant;
 /// Serving path (server + node registries):
 /// `io_read`/`io_write`/`parse` are per-sweep server spans, `engine` is the
 /// node span from engine-lock request to lock release (queueing + hold),
-/// `stripe_lock_hold` is the hold alone, `apply` is one command's
+/// `stripe_lock_hold` is the hold alone (see [`StageId::EngineLockHold`] for
+/// the name), `apply` is one command's
 /// execution, `commit_queue_wait` runs from lock release to the flush's
 /// append, `durability` from the append to the ticket resolving, and `e2e`
 /// is the node's whole batch span — so
@@ -66,9 +67,12 @@ pub enum StageId {
     Parse,
     /// Node: engine-lock request → release (queueing + execution + staging).
     Engine,
-    /// Node: one stripe-lock acquisition → release (per-stripe hold; for
-    /// all-stripe ops, the span from full acquisition to full release).
-    StripeLockHold,
+    /// Node: one client batch's engine-lock hold, acquisition → release.
+    /// Its wire name and [`CounterId::EngineLockConflicts`]'s still say
+    /// "stripe", from when the engine lock was sixteen slot-range stripes:
+    /// the perf ledger reads both rows by name, so renaming them is a
+    /// benchmark change, not a registry one.
+    EngineLockHold,
     /// Node: one command's `Engine::execute` call.
     Apply,
     /// Node: ticket enqueue → committer append (commit-pipeline queueing).
@@ -100,7 +104,7 @@ impl StageId {
         StageId::IoWrite,
         StageId::Parse,
         StageId::Engine,
-        StageId::StripeLockHold,
+        StageId::EngineLockHold,
         StageId::Apply,
         StageId::CommitQueueWait,
         StageId::FlushWindow,
@@ -120,7 +124,7 @@ impl StageId {
             StageId::IoWrite => "io_write",
             StageId::Parse => "parse",
             StageId::Engine => "engine",
-            StageId::StripeLockHold => "stripe_lock_hold",
+            StageId::EngineLockHold => "stripe_lock_hold",
             StageId::Apply => "apply",
             StageId::CommitQueueWait => "commit_queue_wait",
             StageId::FlushWindow => "flush_window",
@@ -147,12 +151,9 @@ pub enum CounterId {
     /// Node: tickets that shared a committer flush with an earlier ticket
     /// (`tickets_in_flush - 1` per flush — cross-connection coalescing).
     AppendsCoalesced,
-    /// Node: batches that required all-stripe acquisition (cross-stripe
-    /// transactions, keyless sweeps, admin commands).
-    CrossStripeOps,
-    /// Node: stripe-lock acquisitions that found the lock already held
-    /// (opportunistic `try_lock` missed and had to block).
-    StripeConflicts,
+    /// Node: client batches that found the engine lock already held (the
+    /// opportunistic `try_lock` missed and had to block).
+    EngineLockConflicts,
     /// Server: protocol errors that closed a connection.
     ProtocolErrors,
     /// Node: commands recorded into the slowlog ring.
@@ -177,13 +178,12 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in display order.
-    pub const ALL: [CounterId; 16] = [
+    pub const ALL: [CounterId; 15] = [
         CounterId::ConnectionsAccepted,
         CounterId::CommandsDispatched,
         CounterId::BatchesDispatched,
         CounterId::AppendsCoalesced,
-        CounterId::CrossStripeOps,
-        CounterId::StripeConflicts,
+        CounterId::EngineLockConflicts,
         CounterId::ProtocolErrors,
         CounterId::SlowlogRecorded,
         CounterId::ReadsTrimmed,
@@ -203,8 +203,7 @@ impl CounterId {
             CounterId::CommandsDispatched => "commands_dispatched",
             CounterId::BatchesDispatched => "batches_dispatched",
             CounterId::AppendsCoalesced => "appends_coalesced",
-            CounterId::CrossStripeOps => "cross_stripe_ops",
-            CounterId::StripeConflicts => "stripe_conflicts",
+            CounterId::EngineLockConflicts => "stripe_conflicts",
             CounterId::ProtocolErrors => "protocol_errors",
             CounterId::SlowlogRecorded => "slowlog_recorded",
             CounterId::ReadsTrimmed => "reads_trimmed",
@@ -607,6 +606,14 @@ impl Registry {
         }
     }
 
+    /// Adds `delta` to a gauge in one atomic step, so concurrent updates
+    /// from several threads cannot publish out of order.
+    pub fn add_gauge(&self, g: GaugeId, delta: i64) {
+        if let Some(slot) = self.gauges.get(g as usize) {
+            slot.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
     /// Current gauge value.
     pub fn gauge(&self, g: GaugeId) -> i64 {
         self.gauges
@@ -809,6 +816,24 @@ mod tests {
         assert_eq!(reg.gauge(GaugeId::LeaseEpoch), 7);
         reg.set_gauge(GaugeId::LeaseEpoch, -1);
         assert_eq!(reg.gauge(GaugeId::LeaseEpoch), -1);
+    }
+
+    #[test]
+    fn add_gauge_from_four_threads_sums_exactly() {
+        let reg = Registry::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..10_000 {
+                        reg.add_gauge(GaugeId::ConnectedClients, 2);
+                        reg.add_gauge(GaugeId::ConnectedClients, -1);
+                    }
+                });
+            }
+        });
+        assert_eq!(reg.gauge(GaugeId::ConnectedClients), 40_000);
     }
 
     #[test]

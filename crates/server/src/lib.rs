@@ -7,10 +7,10 @@
 //!
 //! Connection handling reproduces MemoryDB's Enhanced-IO shape (§2.1): a
 //! fixed pool of IO threads (`min(4, cores)`) owns all client sockets in
-//! non-blocking mode and funnels parsed commands into the node's striped
+//! non-blocking mode and funnels parsed commands into the node's one
 //! engine. Each sweep over a connection parses every complete frame
 //! buffered on it and submits the run as ONE
-//! [`memorydb_core::Node::handle_batch_submit`] call — one stripe-lock
+//! [`memorydb_core::Node::handle_batch_submit`] call — one engine-lock
 //! acquisition per pipeline. Durability is **deferred**: the submit returns
 //! a [`memorydb_core::SubmittedBatch`] holding a commit-pipeline ticket, the
 //! batch is parked on the connection, and the IO thread moves on to sweep
@@ -34,7 +34,7 @@ use memorydb_resp::{encode, CommandParse, Decoder};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,13 +44,6 @@ fn auto_io_threads() -> usize {
         .map(|n| n.get())
         .unwrap_or(1);
     cores.clamp(1, 4)
-}
-
-/// Applies a connection-count delta shared across IO threads and mirrors
-/// the new total into the node registry's `connected_clients` gauge.
-fn track_clients(node: &Node, live: &AtomicI64, delta: i64) {
-    let v = live.fetch_add(delta, Ordering::Relaxed) + delta;
-    node.metrics().set_gauge(GaugeId::ConnectedClients, v);
 }
 
 /// A running server bound to one node.
@@ -78,7 +71,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let live_conns = Arc::new(AtomicI64::new(0));
 
         let n = auto_io_threads();
         let mut io_threads = Vec::with_capacity(n);
@@ -91,11 +83,10 @@ impl Server {
             txs.push(tx);
             let node = Arc::clone(&node);
             let shutdown = Arc::clone(&shutdown);
-            let live = Arc::clone(&live_conns);
             io_threads.push(
                 std::thread::Builder::new()
                     .name(format!("memorydb-io-{i}"))
-                    .spawn(move || io_loop(node, rx, wake_tx, shutdown, live))?,
+                    .spawn(move || io_loop(node, rx, wake_tx, shutdown))?,
             );
         }
 
@@ -692,7 +683,6 @@ fn io_loop(
     rx: Receiver<IoMsg>,
     wake_tx: Sender<IoMsg>,
     shutdown: Arc<AtomicBool>,
-    live: Arc<AtomicI64>,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; 16 * 1024];
@@ -703,7 +693,7 @@ fn io_loop(
         if stream.set_nonblocking(true).is_ok() {
             let _ = stream.set_nodelay(true);
             node.metrics().incr(CounterId::ConnectionsAccepted);
-            track_clients(&node, &live, 1);
+            node.metrics().add_gauge(GaugeId::ConnectedClients, 1);
             conns.push(Conn {
                 stream,
                 state: ConnState::new(pool),
@@ -715,11 +705,9 @@ fn io_loop(
     loop {
         if shutdown.load(Ordering::Acquire) {
             // Dropping conns closes the sockets; the node's registry (and
-            // its `connected_clients` gauge) outlives the server. A thread
-            // with nothing to subtract must not republish the total.
-            if !conns.is_empty() {
-                track_clients(&node, &live, -(conns.len() as i64));
-            }
+            // its `connected_clients` gauge) outlives the server.
+            node.metrics()
+                .add_gauge(GaugeId::ConnectedClients, -(conns.len() as i64));
             return;
         }
         // This thread owns `wake_tx`, a sender to its own channel, so the
@@ -741,7 +729,7 @@ fn io_loop(
                 i += 1;
             } else {
                 conns.swap_remove(i).state.recycle(&mut pool);
-                track_clients(&node, &live, -1);
+                node.metrics().add_gauge(GaugeId::ConnectedClients, -1);
             }
         }
 

@@ -447,8 +447,8 @@ fn info_slowlog_latency_work_over_tcp() {
     // the serving path (node registry) and of the durability path (txlog
     // registry) has samples, and the three top-level node spans tile the
     // batch's e2e span. Lock hold and apply nest inside `engine`; io and
-    // parse happen outside e2e; only classify and the commit-window check
-    // sit inside e2e and outside the three.
+    // parse happen outside e2e; only the commit-window check sits inside
+    // e2e and outside the three.
     for round in 0..40 {
         let sets = (0..8).map(|i| ["SET".to_string(), format!("a{round}:{i}"), "v".to_string()]);
         let replies = client.pipeline(sets).unwrap();

@@ -2,7 +2,7 @@
 //! `cargo run -p memorydb-analysis` does and fails the build on any
 //! violation or stale baseline entry. This is what makes the invariant
 //! families (panic-freedom, lock-discipline, sim-determinism,
-//! sync-primitives, durability-wait, stripe-order, atomics-ordering,
+//! sync-primitives, durability-wait, atomics-ordering, zero-copy,
 //! lock-order) enforced properties rather than documentation — see
 //! DESIGN.md, "Enforced invariants".
 
@@ -102,7 +102,7 @@ fn lock_order_graph_is_acyclic_on_the_real_workspace() {
         "lock acquisition cycles (potential deadlocks):\n{cycles:#?}"
     );
     for node in [
-        "core.stripes",
+        "node.engine",
         "node.st",
         "node.flush_token",
         "pipeline.q",
@@ -119,7 +119,7 @@ fn lock_order_graph_is_acyclic_on_the_real_workspace() {
     }
     // The documented §11 order must appear as real edges.
     for (from, to) in [
-        ("core.stripes", "node.st"),
+        ("node.engine", "node.st"),
         ("node.st", "pipeline.q"),
         ("node.flush_token", "pipeline.q"),
     ] {
